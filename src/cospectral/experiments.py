@@ -21,6 +21,7 @@ from .errors import ResourceCapError, ValidationError
 from .irs import (
     kernel_to_Z_oracle,
     longest_segment,
+    maximal_segments,
     percolation_from_sites,
     sample_bernoulli_percolation,
     wreath_percolation_oracle,
@@ -424,8 +425,7 @@ def exp_wreath_counterexample(config: ExperimentConfig) -> dict:
     oracle_a = wreath_percolation_oracle(sample_a)
     folner_rows = []
     seg_len = longest_segment(sites_a)
-    segments = _maximal_segments(sites_a)
-    for lo, hi in segments:
+    for lo, hi in maximal_segments(sites_a):
         ids = [((), n) for n in range(lo, hi + 1)]
         defect = folner_defect_ids(oracle_a, ids)
         folner_rows.append({
@@ -460,18 +460,6 @@ def exp_wreath_counterexample(config: ExperimentConfig) -> dict:
             ),
         },
     }
-
-
-def _maximal_segments(sites: set[int]) -> list[tuple[int, int]]:
-    segments = []
-    for x in sorted(sites):
-        if x - 1 in sites:
-            continue
-        hi = x
-        while hi + 1 in sites:
-            hi += 1
-        segments.append((x, hi))
-    return segments
 
 
 def exp_cogrowth_sweep(config: ExperimentConfig) -> dict:

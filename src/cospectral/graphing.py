@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .schreier import SchreierBall, folner_defect, interior_boundary
+from .spectral import _neighbor_average, _top_eigenpair
 
 __all__ = [
     "PartialMap",
@@ -312,8 +313,8 @@ def rokhlin_partition(g: Graphing, delta: float, class_cap: int = 64) -> Rokhlin
     by phase parity, fixed points pooled, and odd cycles get one class per
     phase; odd periods above ``class_cap`` are absorbed into B.  Per-map
     partitions combine by common refinement.  If B would weigh more than
-    delta, the cap is raised to the largest period present, after which B is
-    empty (finite systems always succeed).
+    delta, the cap is raised to the point count, after which B is empty
+    (finite systems always succeed).
     """
     if delta <= 0:
         raise ValidationError(f"delta must be positive, got {delta}")
@@ -339,38 +340,8 @@ def rokhlin_partition(g: Graphing, delta: float, class_cap: int = 64) -> Rokhlin
 
     part = build(class_cap)
     if part.B and float(g.weights[list(part.B)].sum()) > delta:
-        longest = max(
-            (len(c) for i in pair_reps for c in _cycles_of(g.maps[i].mapping, n)),
-            default=1,
-        )
-        part = build(max(class_cap, longest))
+        part = build(n)  # n bounds every period, so nothing is absorbed
     return part
-
-
-def _cycles_of(phi: dict[int, int], n: int):
-    preimage = set(phi.values())
-    chain_points = set()
-    for end in range(n):
-        if end in phi or end in chain_points:
-            continue
-        chain_points.add(end)
-        cur = end
-        inv = {v: u for u, v in phi.items()}
-        while cur in inv:
-            cur = inv[cur]
-            chain_points.add(cur)
-    seen = set(chain_points)
-    for start in range(n):
-        if start in seen:
-            continue
-        cycle = [start]
-        seen.add(start)
-        cur = phi[start]
-        while cur != start:
-            cycle.append(cur)
-            seen.add(cur)
-            cur = phi[cur]
-        yield cycle
 
 
 def check_rokhlin(g: Graphing, part: RokhlinPartition, delta: float) -> bool:
@@ -400,70 +371,30 @@ def interior_of(g: Graphing, subset: Iterable[int]) -> np.ndarray:
     return np.array(sorted(out), dtype=np.int64)
 
 
-def _components_within(g: Graphing, subset: set[int]):
-    seen: set[int] = set()
-    for start in sorted(subset):
-        if start in seen:
-            continue
-        queue = [start]
-        seen.add(start)
-        members = [start]
-        while queue:
-            x = queue.pop()
-            for y in g.neighbors(x):
-                if y in subset and y not in seen:
-                    seen.add(y)
-                    queue.append(y)
-                    members.append(y)
-        yield sorted(members)
-
-
-def embedded_spectral_radius(
-    g: Graphing,
-    subset: Iterable[int],
-    tol: float = 1e-10,
-    max_iterations: int = 200_000,
-) -> float:
+def embedded_spectral_radius(g: Graphing, subset: Iterable[int]) -> float:
     """Top weighted Rayleigh quotient of M over functions supported on the
     interior of the given component set; 0 when every interior is empty.
 
-    The subset decomposes into finitely many orbit components (automatic in
-    finite systems); the supremum is taken componentwise.
+    Weights are constant on orbits and the map family is inverse-closed, so
+    M restricted to the interior is symmetric and block-diagonal over the
+    components of the subset; one unweighted solve from the all-ones vector
+    gives the supremum over all of them.
     """
     p_set = set(int(x) for x in subset)
     for x in p_set:
         if not 0 <= x < g.n_points:
             raise ValidationError(f"point {x} outside the graphing")
-    if not p_set:
+    interior = interior_of(g, p_set)
+    if len(interior) == 0:
         return 0.0
-    interior = set(interior_of(g, p_set).tolist())
-    w = g.weights
-    best = 0.0
-    for members in _components_within(g, p_set):
-        support = sorted(set(members) & interior)
-        if not support:
-            continue
-        mask = np.zeros(g.n_points, dtype=bool)
-        mask[support] = True
-        v = np.zeros(g.n_points)
-        v[support] = 1.0
-        v /= np.sqrt(float((w * v * v).sum()))
-        lam_half = 0.0
-        for _ in range(max_iterations):
-            mv = g.apply_markov(v)
-            mv[~mask] = 0.0
-            bv = 0.5 * (v + mv)
-            lam_half = float((w * v * bv).sum())
-            res = bv - lam_half * v
-            residual = 2.0 * np.sqrt(float((w * res * res).sum()))
-            if residual <= tol:
-                break
-            norm_b = np.sqrt(float((w * bv * bv).sum()))
-            if norm_b == 0.0:
-                break
-            v = bv / norm_b
-        best = max(best, min(2.0 * lam_half - 1.0, 1.0))
-    return best
+    local = np.full(g.n_points, len(interior))
+    local[interior] = np.arange(len(interior))
+    table = np.array(
+        [[local[m.mapping.get(x, x)] for m in g.maps] for x in interior.tolist()],
+        dtype=np.int64,
+    )
+    value, _, _, _ = _top_eigenpair(_neighbor_average(table), np.ones(len(interior)))
+    return min(value, 1.0)
 
 
 def cesaro_average(g: Graphing, f: np.ndarray, m: int) -> np.ndarray:

@@ -28,6 +28,7 @@ __all__ = [
     "sample_to_json",
     "oracle_from_sample",
     "longest_segment",
+    "maximal_segments",
 ]
 
 
@@ -67,18 +68,23 @@ def percolation_from_sites(sites: Iterable[int], window: int, p: float = float("
     return PercolationSample(sites, p, int(window), None)
 
 
-def longest_segment(sites: Iterable[int]) -> int:
-    """Length of the longest run of consecutive integers in the set."""
+def maximal_segments(sites: Iterable[int]) -> list[tuple[int, int]]:
+    """Maximal runs of consecutive integers in the set, as sorted (lo, hi)."""
     s = set(sites)
-    best = 0
-    for x in s:
+    segments = []
+    for x in sorted(s):
         if x - 1 in s:
             continue
-        run = 1
-        while x + run in s:
-            run += 1
-        best = max(best, run)
-    return best
+        hi = x
+        while hi + 1 in s:
+            hi += 1
+        segments.append((x, hi))
+    return segments
+
+
+def longest_segment(sites: Iterable[int]) -> int:
+    """Length of the longest run of consecutive integers in the set."""
+    return max((hi - lo + 1 for lo, hi in maximal_segments(sites)), default=0)
 
 
 class WreathPercolationOracle(SubgroupOracle):

@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import BallCapExceeded, ValidationError
-from .stallings import StallingsAutomaton, build_automaton, inverse_slot, slot_of_letter
+from .stallings import StallingsAutomaton, build_automaton, inverse_slot, letter_of_slot, slot_of_letter
 from .words import Word, letters_of_rank
 
 __all__ = [
@@ -113,7 +113,7 @@ class StallingsOracle(SubgroupOracle):
 
 
 def _slot_char(slot: int, d: int) -> str:
-    letter = slot + 1 if slot < d else -(slot - d + 1)
+    letter = letter_of_slot(slot, d)
     ch = chr(ord("a") + abs(letter) - 1)
     return ch if letter > 0 else ch.upper()
 
@@ -454,10 +454,9 @@ def folner_search(ball: SchreierBall) -> tuple[ComponentSet, float]:
 
     if ball.radius >= 1:
         _, vector, rows = dirichlet_vector(ball)
-        if len(rows):
-            eig_order = rows[np.argsort(-vector, kind="stable")]
-            rest = np.setdiff1d(np.arange(ball.n_vertices), rows, assume_unique=False)
-            orders.append(np.concatenate([eig_order, rest]))
+        eig_order = rows[np.argsort(-vector, kind="stable")]
+        rest = np.setdiff1d(np.arange(ball.n_vertices), rows, assume_unique=False)
+        orders.append(np.concatenate([eig_order, rest]))
     orders.append(np.arange(ball.n_vertices))  # BFS order: prefixes include B(r)
 
     best_defect, best_order, best_k = np.inf, None, 0

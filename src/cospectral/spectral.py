@@ -5,8 +5,8 @@ operator M over the symmetric generating set acting on square-summable
 functions on the coset space.  Two certified lower bounds are provided:
 
 * the top Rayleigh quotient of M over functions supported on the interior
-  of a finite ball (Dirichlet restriction), computed by power iteration on
-  the nonnegative shift (I + M)/2, and
+  of a finite ball (Dirichlet restriction), computed by restarted Lanczos
+  iteration with full reorthogonalisation, and
 * return probabilities, p_{2n}(root, root)^(1/2n) <= rho by self-adjointness.
 
 For f.g. subgroups of free groups the cogrowth base alpha converts to the
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
@@ -45,8 +45,9 @@ class SpectralEstimate:
     """A certified lower bound for the co-spectral radius.
 
     ``radius`` is the ball radius for the Dirichlet method and the
-    truncation radius for the return-probability method (whose step count
-    2n is reported as ``iterations``).
+    truncation radius for the return-probability method.  ``iterations``
+    counts operator applications: matvecs of the Dirichlet solve, or the
+    2n walk steps of the return-probability method.
     """
 
     value: float
@@ -69,12 +70,94 @@ class SpectralEstimate:
         }
 
 
+# Krylov basis rows, allocated once per solve; each restart cycle is capped
+# at this many steps.  Every row is a vector over the whole interior, so a
+# longer basis trades peak memory on big windows for fewer restarts.
+_KRYLOV_DIM = 32
+# A Lanczos step whose new direction keeps less than this share of |A q|
+# after reorthogonalisation has hit an invariant subspace.  The test must
+# be relative to |A q|: what survives an exact breakdown is rounding noise
+# on the scale of |A q|, and normalising it into the basis wrecks the Ritz
+# vector.
+_BREAKDOWN = 1e-12
+
+
+def _top_eigenpair(
+    matvec: Callable[[np.ndarray], np.ndarray],
+    start: np.ndarray,
+    tol: float = 1e-10,
+    max_iterations: int = 200_000,
+) -> tuple[float, np.ndarray, int, float]:
+    """Top eigenpair of a symmetric nonnegative operator by restarted Lanczos.
+
+    Each cycle runs Lanczos with full reorthogonalisation from the current
+    vector and restarts from the top Ritz vector, taken entrywise in
+    absolute value: for a nonnegative operator that never lowers the
+    Rayleigh quotient.  Returns (value, unit vector, matvecs, residual)
+    where value is the Rayleigh quotient of the returned vector, computed
+    from a fresh operator application, so it is a certified lower bound for
+    the top eigenvalue whether or not |A v - value v| reached ``tol``.
+    ``matvecs`` counts operator applications and never exceeds
+    ``max_iterations``.
+    """
+    v = start / np.linalg.norm(start)
+    av = matvec(v)
+    matvecs = 1
+    basis = np.empty((min(_KRYLOV_DIM, len(v)), len(v)))
+    while True:
+        value = float(v @ av)
+        residual = float(np.linalg.norm(av - value * v))
+        if residual <= tol or matvecs >= max_iterations:
+            return value, v, matvecs, residual
+        basis[0] = v
+        w = av
+        alphas: list[float] = []
+        betas: list[float] = []
+        for j in range(len(basis)):
+            if j:
+                w = matvec(basis[j])
+                matvecs += 1
+            scale = float(np.linalg.norm(w))
+            q = basis[: j + 1]
+            coef = q @ w
+            w = w - coef @ q
+            again = q @ w  # second Gram-Schmidt pass keeps the basis orthonormal
+            w -= again @ q
+            alphas.append(float(coef[j] + again[j]))
+            beta = float(np.linalg.norm(w))
+            if j + 1 == len(basis) or beta <= _BREAKDOWN * scale or matvecs >= max_iterations - 1:
+                break
+            betas.append(beta)
+            basis[j + 1] = w / beta
+        ritz = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
+        _, vectors = np.linalg.eigh(ritz)
+        v = np.abs(vectors[:, -1] @ basis[: len(alphas)])
+        v /= np.linalg.norm(v)
+        av = matvec(v)
+        matvecs += 1
+
+
+def _neighbor_average(table: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """Matvec of the averaging operator over the columns of ``table``.
+
+    ``table[i, k]`` is the local index of row i's k-th neighbor; index
+    ``len(table)`` stands for every neighbor outside the support, where
+    functions vanish.
+    """
+    padded = np.zeros(len(table) + 1)
+    width = table.shape[1]
+
+    def matvec(x: np.ndarray) -> np.ndarray:
+        padded[:-1] = x
+        return padded[table].sum(axis=1) / width
+
+    return matvec
+
+
 def _interior_rows(ball: "SchreierBall", radius: int) -> np.ndarray:
     """Ball vertices within ``radius`` all of whose neighbors stay within."""
     dist_full = ball.dist_full
     cand = np.nonzero(ball.dist <= radius)[0]
-    if len(cand) == 0:
-        return cand
     ok = (dist_full[ball.nbr[cand]] <= radius).all(axis=1)
     return cand[ok]
 
@@ -85,11 +168,13 @@ def dirichlet_vector(
     tol: float = 1e-10,
     max_iterations: int = 200_000,
 ) -> tuple[SpectralEstimate, np.ndarray, np.ndarray]:
-    """Dirichlet power iteration; also returns the iterate and its support.
+    """Dirichlet eigen-solve; also returns the nonnegative unit vector whose
+    Rayleigh quotient is the estimate, and its support rows.
 
-    The Rayleigh quotient of the returned vector is a certified lower bound
-    whether or not the iteration converged.  Iteration runs on (I + M)/2 to
-    stay monotone on bipartite windows and maps back by lambda = 2l' - 1.
+    The Rayleigh quotient is a certified lower bound whether or not the
+    solve converged.  The solve starts from the root indicator, so on the
+    tree its Krylov space is the radial functions and it ends after about
+    radius steps.
     """
     r = ball.radius if radius is None else radius
     if r < 1:
@@ -101,38 +186,15 @@ def dirichlet_vector(
     if max_iterations < 1:
         raise ValidationError("iteration cap must be >= 1")
     rows = _interior_rows(ball, r)
-    if len(rows) == 0:
-        estimate = SpectralEstimate(0.0, "dirichlet", r, 0, 0.0, False, ("empty_interior",))
-        return estimate, np.zeros(0), rows
-
-    sub_nbr = ball.nbr[rows]
-    buf = np.zeros(ball.n_vertices + ball.n_outer)
-    v = np.zeros(len(rows))
-    if rows[0] == 0:  # root sits in the interior: deterministic localized start
-        v[0] = 1.0
-    else:
-        v[:] = 1.0 / math.sqrt(len(rows))
-    v /= np.linalg.norm(v)
-
-    lam_half = 0.0
-    residual = np.inf
-    iterations = 0
-    for iterations in range(1, max_iterations + 1):
-        buf[rows] = v
-        averaged = buf[sub_nbr].mean(axis=1)
-        w = 0.5 * (v + averaged)
-        lam_half = float(v @ w)
-        residual = 2.0 * float(np.linalg.norm(w - lam_half * v))
-        if residual <= tol:
-            break
-        norm_w = float(np.linalg.norm(w))
-        if norm_w == 0.0:
-            break
-        v = w / norm_w
-
-    value = min(2.0 * lam_half - 1.0, 1.0)
+    local = np.full(ball.n_vertices + ball.n_outer, len(rows))
+    local[rows] = np.arange(len(rows))
+    start = np.zeros(len(rows))
+    start[0] = 1.0  # row 0 is the root: its neighbors lie within radius 1 <= r
+    value, v, iterations, residual = _top_eigenpair(
+        _neighbor_average(local[ball.nbr[rows]]), start, tol, max_iterations
+    )
     flags = () if residual <= tol else ("not_converged",)
-    estimate = SpectralEstimate(value, "dirichlet", r, iterations, residual, False, flags)
+    estimate = SpectralEstimate(min(value, 1.0), "dirichlet", r, iterations, residual, False, flags)
     return estimate, v, rows
 
 

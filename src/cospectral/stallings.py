@@ -156,9 +156,6 @@ class StallingsAutomaton:
     def degree(self, state: int) -> int:
         return sum(1 for t in self.table[state] if t is not None)
 
-    def is_core(self) -> bool:
-        return all(self.degree(u) >= 2 for u in range(self.n_states) if u != self.base)
-
     def is_complete(self) -> bool:
         return all(t is not None for row in self.table for t in row)
 

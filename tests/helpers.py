@@ -106,6 +106,43 @@ def dense_dirichlet(ball, radius=None):
     return float(np.linalg.eigvalsh(mat).max())
 
 
+def dense_embedded(g, subset):
+    """Embedded spectral radius by one dense weighted eigensolve per orbit
+    component of the subset (oracle): the lazy operator restricted to the
+    component's interior points, symmetrised as W^1/2 M W^-1/2."""
+    members = set(int(x) for x in subset)
+    interior = {x for x in members if all(m.mapping.get(x, x) in members for m in g.maps)}
+    best = 0.0
+    seen = set()
+    for start in sorted(members):
+        if start in seen:
+            continue
+        component = {start}
+        stack = [start]
+        while stack:
+            x = stack.pop()
+            for m in g.maps:
+                y = m.mapping.get(x)
+                if y is not None and y in members and y not in component:
+                    component.add(y)
+                    stack.append(y)
+        seen |= component
+        support = sorted(component & interior)
+        if not support:
+            continue
+        pos = {x: k for k, x in enumerate(support)}
+        mat = np.zeros((len(support), len(support)))
+        for k, x in enumerate(support):
+            for m in g.maps:
+                j = pos.get(m.mapping.get(x, x))
+                if j is not None:
+                    mat[k, j] += 1.0 / g.n_maps
+        root_w = np.sqrt(g.weights[support])
+        sym = root_w[:, None] * mat / root_w[None, :]
+        best = max(best, float(np.linalg.eigvals(sym).real.max()))
+    return best
+
+
 def all_reduced_words(d, max_len):
     """Every reduced word of length <= max_len, identity included."""
     words = [Word(())]

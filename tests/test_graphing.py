@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from helpers import naive_energy, naive_mtp, random_graphing, union_find_components
+from helpers import dense_embedded, naive_energy, naive_mtp, random_graphing, union_find_components
 from cospectral.errors import ValidationError
 from cospectral.graphing import (
     Graphing,
@@ -191,6 +191,29 @@ def test_embedded_multiple_components_takes_max():
     # first component entire (value 1), second only partially included
     value = embedded_spectral_radius(g, [0, 1, 2, 3, 4, 5, 6])
     assert value >= 1.0 - 1e-9
+
+
+def test_embedded_max_from_later_partly_included_component():
+    # a 12-cycle of weight 2 and a 20-cycle of weight 0.5, both cut to arcs:
+    # interiors are paths of 3 and 8 points, so the later component wins
+    rotation = {i: (i + 1) % 12 for i in range(12)}
+    rotation.update({12 + i: 12 + (i + 1) % 20 for i in range(20)})
+    g = Graphing.from_pairs([2.0] * 12 + [0.5] * 20, [("r", rotation)])
+    subset = list(range(5)) + list(range(12, 22))
+    value = embedded_spectral_radius(g, subset)
+    assert value == pytest.approx(dense_embedded(g, subset), abs=1e-9)
+    assert value == pytest.approx(math.cos(math.pi / 9), abs=1e-9)
+    assert dense_embedded(g, range(5)) < value
+
+
+def test_embedded_matches_dense_on_random_graphings():
+    for seed in range(30):
+        g = random_graphing(seed)
+        rng = np.random.default_rng(1000 + seed)
+        subset = rng.choice(g.n_points, size=int(rng.integers(1, g.n_points + 1)), replace=False)
+        assert embedded_spectral_radius(g, subset) == pytest.approx(
+            dense_embedded(g, subset), abs=1e-9
+        )
 
 
 def test_cesaro_identity_and_constant():

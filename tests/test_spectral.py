@@ -5,16 +5,23 @@ import pytest
 
 from helpers import dense_dirichlet
 from cospectral.errors import ValidationError
-from cospectral.irs import kernel_to_Z_oracle
+from cospectral.irs import (
+    kernel_to_Z_oracle,
+    permutation_stabilizer_oracle,
+    sample_bernoulli_percolation,
+    wreath_percolation_oracle,
+)
 from cospectral.schreier import (
     StallingsOracle,
     generate_ball,
+    product_oracle,
     trivial_subgroup_oracle,
     whole_group_oracle,
 )
 from cospectral.spectral import (
     critical_exponent,
     dirichlet_lower_bound,
+    dirichlet_vector,
     grigorchuk_rho,
     return_probability_bound,
 )
@@ -35,6 +42,32 @@ def test_tree_ball_value_and_dense_oracle():
     est = dirichlet_lower_bound(ball)
     assert 0.79 < est.value < math.sqrt(3) / 2 + 1e-12
     assert est.value == pytest.approx(dense_dirichlet(ball), abs=1e-9)
+
+
+def test_tree_ball_krylov_space_is_radial():
+    # from the root indicator the Krylov space is the R radial functions on
+    # the interior B(R-1), so Lanczos stops after about R matvecs
+    for radius in range(3, 8):
+        ball = generate_ball(trivial_subgroup_oracle(2), radius)
+        est = dirichlet_lower_bound(ball)
+        assert est.value == pytest.approx(dense_dirichlet(ball), abs=1e-9)
+        assert est.iterations <= radius + 2
+
+
+def test_dirichlet_vector_matches_dense_on_every_family():
+    oracles = [kernel_to_Z_oracle(2, (1, 0)), kernel_to_Z_oracle(2, (2, 1))]
+    for seed in range(3):
+        oracles.append(permutation_stabilizer_oracle(40, 2, seed))
+        oracles.append(wreath_percolation_oracle(sample_bernoulli_percolation(0.5, 50, seed)))
+    for gens in ("ab,ba", "aab,bab", "a,bb"):
+        oracles.append(StallingsOracle(build_automaton(gens, 2)))
+    oracles.append(product_oracle(kernel_to_Z_oracle(2, (1, 0)), permutation_stabilizer_oracle(12, 2, 0)))
+    for oracle in oracles:
+        ball = generate_ball(oracle, 5)
+        est, vector, rows = dirichlet_vector(ball)
+        assert est.value == pytest.approx(dense_dirichlet(ball), abs=1e-9)
+        assert vector.shape == rows.shape
+        assert vector.min() >= -1e-12
 
 
 def test_single_vertex_all_loops():
