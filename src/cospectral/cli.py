@@ -76,7 +76,7 @@ def _cmd_spectral(args) -> int:
         ball = generate_ball(oracle, args.radius, vertex_cap=args.cap)
         estimate = dirichlet_lower_bound(ball)
     else:
-        estimate = return_probability_bound(oracle, args.steps)
+        estimate = return_probability_bound(oracle, args.steps, state_cap=args.cap)
     _emit(estimate.to_json(), args.out)
     return 0
 

@@ -55,8 +55,6 @@ class PartialMap:
         values = list(self.mapping.values())
         if len(set(values)) != len(values):
             raise ValidationError(f"map {label!r} is not injective")
-        self.src = np.array(sorted(self.mapping), dtype=np.int64)
-        self.dst = np.array([self.mapping[x] for x in self.src], dtype=np.int64)
 
     def inverse_mapping(self) -> dict[int, int]:
         return {v: k for k, v in self.mapping.items()}
@@ -72,6 +70,10 @@ class Graphing:
     Weights must transfer exactly along every map (bitwise float equality);
     build systems by copying weights along orbits.  Treated as immutable
     after construction.
+
+    ``table[x, k]`` is the image of point x under map k, or x itself where
+    map k is undefined (the lazy convention).  The Markov operator,
+    interiors, orbits and the Rokhlin check all read this one table.
     """
 
     def __init__(self, weights: Sequence[float], maps: Iterable[Union[PartialMap, tuple]]):
@@ -95,9 +97,9 @@ class Graphing:
                         f"map {m.label!r} is not measure preserving at {x}->{y}"
                     )
         self.inv_index = self._match_inverses()
-        self._defined_count = np.zeros(n, dtype=np.int64)
-        for m in self.maps:
-            self._defined_count[m.src] += 1
+        self.table = np.repeat(np.arange(n, dtype=np.int64)[:, None], len(self.maps), axis=1)
+        for k, m in enumerate(self.maps):
+            self.table[list(m.mapping), k] = list(m.mapping.values())
 
     def _match_inverses(self) -> tuple[int, ...]:
         inv = [None] * len(self.maps)
@@ -148,20 +150,7 @@ class Graphing:
         f = np.asarray(f, dtype=float)
         if f.shape != (self.n_points,):
             raise ValidationError(f"function must have shape ({self.n_points},)")
-        stay = (self.n_maps - self._defined_count) * f
-        acc = stay
-        for m in self.maps:
-            if len(m.src):
-                contribution = np.zeros_like(f)
-                contribution[m.src] = f[m.dst]
-                acc = acc + contribution
-        return acc / self.n_maps
-
-    def neighbors(self, x: int):
-        for m in self.maps:
-            y = m.mapping.get(x)
-            if y is not None:
-                yield y
+        return f[self.table].sum(axis=1) / self.n_maps
 
 
 @dataclass
@@ -193,7 +182,7 @@ def orbit_decomposition(g: Graphing) -> OrbitDecomposition:
         members = [start]
         while queue:
             x = queue.pop()
-            for y in g.neighbors(x):
+            for y in g.table[x].tolist():
                 if comp[y] == -1:
                     comp[y] = cid
                     queue.append(y)
@@ -351,24 +340,23 @@ def check_rokhlin(g: Graphing, part: RokhlinPartition, delta: float) -> bool:
         return False
     if part.B and float(g.weights[list(part.B)].sum()) > delta + 1e-12:
         return False
-    for cls in part.classes:
-        members = set(cls)
-        for m in g.maps:
-            for x in cls:
-                y = m.mapping.get(x)
-                if y is not None and y in members and y != x:
-                    return False
-    return True
+    label = np.full(g.n_points, -1, dtype=np.int64)  # -1 marks B
+    for i, cls in enumerate(part.classes):
+        label[list(cls)] = i
+    moved = g.table != np.arange(g.n_points)[:, None]
+    same_class = label[g.table] == label[:, None]
+    return not (moved & same_class & (label >= 0)[:, None]).any()
 
 
 def interior_of(g: Graphing, subset: Iterable[int]) -> np.ndarray:
-    """Points of the subset all of whose defined map images stay inside."""
-    members = set(int(x) for x in subset)
-    out = []
-    for x in members:
-        if all(m.mapping.get(x, x) in members for m in g.maps):
-            out.append(x)
-    return np.array(sorted(out), dtype=np.int64)
+    """Sorted points of the subset all of whose defined map images stay inside."""
+    points = np.unique(np.fromiter((int(x) for x in subset), dtype=np.int64))
+    outside = points[(points < 0) | (points >= g.n_points)]
+    if len(outside):
+        raise ValidationError(f"point {outside[0]} outside the graphing")
+    members = np.zeros(g.n_points, dtype=bool)
+    members[points] = True
+    return points[members[g.table[points]].all(axis=1)]
 
 
 def embedded_spectral_radius(g: Graphing, subset: Iterable[int]) -> float:
@@ -380,20 +368,13 @@ def embedded_spectral_radius(g: Graphing, subset: Iterable[int]) -> float:
     components of the subset; one unweighted solve from the all-ones vector
     gives the supremum over all of them.
     """
-    p_set = set(int(x) for x in subset)
-    for x in p_set:
-        if not 0 <= x < g.n_points:
-            raise ValidationError(f"point {x} outside the graphing")
-    interior = interior_of(g, p_set)
+    interior = interior_of(g, subset)
     if len(interior) == 0:
         return 0.0
     local = np.full(g.n_points, len(interior))
     local[interior] = np.arange(len(interior))
-    table = np.array(
-        [[local[m.mapping.get(x, x)] for m in g.maps] for x in interior.tolist()],
-        dtype=np.int64,
-    )
-    value, _, _, _ = _top_eigenpair(_neighbor_average(table), np.ones(len(interior)))
+    matvec = _neighbor_average(local[g.table[interior]])
+    value, _, _, _ = _top_eigenpair(matvec, np.ones(len(interior)))
     return min(value, 1.0)
 
 

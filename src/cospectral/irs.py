@@ -13,7 +13,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ValidationError, WindowExceeded
-from .schreier import SubgroupOracle
+from .schreier import SubgroupOracle, generate_ball
 from .words import Word, WreathElement, wreath_from_word
 
 __all__ = [
@@ -195,16 +195,9 @@ class PermutationStabilizerOracle(SubgroupOracle):
         return int(table[point])
 
     def orbit_of_root(self) -> list[int]:
-        seen = {0}
-        queue = [0]
-        while queue:
-            x = queue.pop()
-            for letter in self.letters:
-                y = self.act(letter, x)
-                if y not in seen:
-                    seen.add(y)
-                    queue.append(y)
-        return sorted(seen)
+        # the orbit has at most n_points points, so radius n_points - 1
+        # covers it and leaves no rim
+        return sorted(generate_ball(self, self.n_points - 1, vertex_cap=self.n_points).ids)
 
 
 def permutation_stabilizer_oracle(n_points: int, d: int, seed: int) -> PermutationStabilizerOracle:

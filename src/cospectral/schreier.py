@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import BallCapExceeded, ValidationError
-from .stallings import StallingsAutomaton, build_automaton, inverse_slot, letter_of_slot, slot_of_letter
+from .stallings import StallingsAutomaton, _nonbacktracking, build_automaton, inverse_slot, letter_of_slot, slot_of_letter
 from .words import Word, letters_of_rank
 
 __all__ = [
@@ -546,37 +546,27 @@ def count_reduced_returns(
 
     These are the non-backtracking closed path counts at the root, i.e. the
     number of subgroup elements of each reduced length for free families.
-    Counts use Python integers, so no overflow.  A path that returns within
-    n steps never leaves the radius-floor(n/2) ball, so that window
-    suffices and the counts stay exact.
+    A path that returns within n steps never leaves the radius-floor(n/2)
+    ball, so that window suffices and the counts stay exact.  The k-th
+    iterate of the non-backtracking operator on the indicator of edges
+    ending at the root counts the length-k paths from each edge home.
+    Entries never exceed 2d(2d-1)^(n-1): below 2**63 they run in int64,
+    above it in Python integers, so there is no overflow.
     """
     if n < 1:
         raise ValidationError(f"n must be >= 1, got {n}")
     ball = generate_ball(oracle, n // 2, vertex_cap=vertex_cap)
     width = 2 * oracle.d
-    n_ball = ball.n_vertices
-    inv = [inverse_slot(s, oracle.d) for s in range(width)]
-    # state: (vertex, slot of the letter that led here) -> path count
-    cur: dict[tuple[int, int], int] = {}
-    for s in range(width):
-        t = int(ball.nbr[0, s])
-        if t < n_ball:
-            cur[(t, s)] = 1
-    closed = [sum(c for (v, _), c in cur.items() if v == 0)]
+    dtype = np.int64 if width * (width - 1) ** (n - 1) < 2**63 else object
+    table = np.minimum(ball.nbr, ball.n_vertices)  # rim targets -> zero sentinel
+    step = _nonbacktracking(table, oracle.d, dtype)
+    x = np.zeros(table.shape, dtype=dtype)
+    x[table == 0] = 1
+    counts = [int(x[0].sum())]
     for _ in range(n - 1):
-        nxt: dict[tuple[int, int], int] = {}
-        for (v, s), count in cur.items():
-            banned = inv[s]
-            for s2 in range(width):
-                if s2 == banned:
-                    continue
-                t = int(ball.nbr[v, s2])
-                if t < n_ball:
-                    key = (t, s2)
-                    nxt[key] = nxt.get(key, 0) + count
-        cur = nxt
-        closed.append(sum(c for (v, _), c in cur.items() if v == 0))
-    return closed
+        x = step(x)
+        counts.append(int(x[0].sum()))
+    return counts
 
 
 def ball_to_dot(ball: SchreierBall, name: str = "ball") -> str:

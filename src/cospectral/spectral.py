@@ -223,15 +223,18 @@ def return_probability_bound(
 ) -> SpectralEstimate:
     """p_{2n}(root, root)^(1/2n), from exact distribution-vector iteration.
 
-    States are tracked out to ``truncation_radius`` (default n); mass walking
-    beyond it is dropped, which only lowers the return probability, so the
-    result remains a valid lower bound and is flagged truncated.
+    States are tracked out to ``truncation_radius`` (default n), or to n
+    if that is smaller: mass beyond distance n cannot return within 2n
+    steps, so dropping it is exact.  Mass dropped at a radius below n, or
+    by ``state_cap``, only lowers the return probability, so the result
+    remains a valid lower bound and is flagged truncated.
     """
     if n < 1:
         raise ValidationError(f"n must be >= 1, got {n}")
     trunc = n if truncation_radius is None else truncation_radius
     if trunc < 0:
         raise ValidationError("truncation radius must be >= 0")
+    trunc = min(trunc, n)
     letters = letters_of_rank(oracle.d)
     share_factor = 1.0 / len(letters)
     act = oracle.act
@@ -252,7 +255,7 @@ def return_probability_bound(
                 if dt is None:
                     dt = dc + 1
                     if dt > trunc or len(dist) >= state_cap:
-                        truncated = True
+                        truncated = truncated or dt <= n
                         continue
                     dist[t] = dt
                 nxt[t] = nxt.get(t, 0.0) + share

@@ -14,7 +14,7 @@ same labeled shape iff their transition tables are equal.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Callable, Iterable, Sequence, Union
 
 import numpy as np
 
@@ -374,6 +374,26 @@ class CogrowthResult:
         }
 
 
+def _nonbacktracking(table: np.ndarray, d: int, dtype) -> Callable[[np.ndarray], np.ndarray]:
+    """Matvec of the non-backtracking operator B on directed edges.
+
+    ``table[u, s]`` is the target of the edge leaving u along slot s, or
+    ``len(table)`` where that slot is missing.  An edge vector x has the
+    table's shape, and (Bx)[u, s] sums x over the edges leaving
+    table[u, s] except the reverse of (u, s).  Missing slots read a zero
+    sentinel row, so Bx vanishes there.
+    """
+    width = 2 * d
+    reverse = (np.arange(width) + d) % width
+    padded = np.zeros((len(table) + 1, width), dtype=dtype)
+
+    def matvec(x: np.ndarray) -> np.ndarray:
+        padded[:-1] = x
+        return padded.sum(axis=1)[table] - padded[table, reverse]
+
+    return matvec
+
+
 def cogrowth_rate(
     automaton: StallingsAutomaton,
     tol: float = 1e-10,
@@ -381,61 +401,34 @@ def cogrowth_rate(
 ) -> CogrowthResult:
     """Cogrowth base alpha of the subgroup's core automaton.
 
-    Power iteration runs on I + B where B is the non-backtracking transfer
-    operator on directed edges, with sup-norm normalization; the identity
-    shift removes the oscillation of periodic edge graphs (pure cycles)
-    without moving the Perron value.  alpha = 0 for the trivial subgroup.
-    Hitting the iteration cap returns the best estimate with the residual
-    flagged via converged=False.
+    Power iteration runs on I + B where B is the non-backtracking operator
+    on the automaton's directed edges, with sup-norm normalization; the
+    identity shift removes the oscillation of periodic edge graphs (pure
+    cycles) without moving the Perron value.  Each iteration costs one
+    matvec: the residual's image of the iterate is the next iterate.
+    alpha = 0 for the trivial subgroup.  Hitting the iteration cap returns
+    the best estimate with the residual flagged via converged=False.
     """
     if max_iterations < 1:
         raise ValidationError("iteration cap must be >= 1")
-    d = automaton.d
-    width = 2 * d
-    tails, heads, slots = [], [], []
-    edge_id: dict[tuple[int, int], int] = {}
-    for u in range(automaton.n_states):
-        for s in range(width):
-            t = automaton.table[u][s]
-            if t is not None:
-                edge_id[(u, s)] = len(tails)
-                tails.append(u)
-                heads.append(t)
-                slots.append(s)
-    m = len(tails)
-    if m == 0:
-        return CogrowthResult(0.0, None, 0, 0.0, True)
-
-    tails_a = np.array(tails, dtype=np.int64)
-    heads_a = np.array(heads, dtype=np.int64)
-    rev = np.array(
-        [edge_id[(heads[e], inverse_slot(slots[e], d))] for e in range(m)],
-        dtype=np.int64,
+    n = automaton.n_states
+    table = np.array(
+        [[n if t is None else t for t in row] for row in automaton.table], dtype=np.int64
     )
-
-    def apply_shifted(x: np.ndarray) -> np.ndarray:
-        # (I + B) x where (Bx)[e] = sum over non-backtracking successors
-        sums = np.zeros(automaton.n_states)
-        np.add.at(sums, tails_a, x)
-        return x + sums[heads_a] - x[rev]
-
-    v = np.ones(m)
-    lam = 1.0
-    residual = np.inf
-    iterations = 0
+    present = table < n
+    if not present.any():
+        return CogrowthResult(0.0, None, 0, 0.0, True)
+    step = _nonbacktracking(table, automaton.d, float)
+    v = present.astype(float)
+    w = v + step(v)
     for iterations in range(1, max_iterations + 1):
-        w = apply_shifted(v)
-        lam = float(np.max(np.abs(w)))
-        if lam == 0.0:
-            return CogrowthResult(0.0, None, iterations, 0.0, True)
-        w /= lam
-        residual = float(np.max(np.abs(apply_shifted(w) - lam * w)))
-        v = w
+        lam = float(np.max(np.abs(w)))  # >= 1: (I + B) never shrinks a nonnegative vector
+        v = w / lam
+        w = v + step(v)
+        residual = float(np.max(np.abs(w - lam * v)))
         if residual <= tol:
             break
     alpha = lam - 1.0
-    if alpha < 0.0:
-        alpha = 0.0
     delta = float(np.log(alpha)) if alpha > 0 else None
     return CogrowthResult(alpha, delta, iterations, residual, residual <= tol)
 

@@ -58,19 +58,18 @@ def union_find_components(g):
     return sorted(tuple(sorted(v)) for v in classes.values())
 
 
+def naive_markov(g, f):
+    """Mf by a per-point, per-map dict walk (lazy slot convention)."""
+    return np.array(
+        [sum(f[m.mapping.get(x, x)] for m in g.maps) / g.n_maps for x in range(g.n_points)]
+    )
+
+
 def naive_energy(g, f):
-    """<(I - M)f, f> with explicit nested loops (lazy slot convention)."""
+    """<(I - M)f, f> with explicit loops over points."""
     w = g.weights
-    n = g.n_points
-    total = 0.0
-    for x in range(n):
-        acc = 0.0
-        for m in g.maps:
-            y = m.mapping.get(x, x)
-            acc += f[y]
-        mfx = acc / g.n_maps
-        total += w[x] * (f[x] - mfx) * f[x]
-    return total
+    mf = naive_markov(g, f)
+    return sum(w[x] * (f[x] - mf[x]) * f[x] for x in range(g.n_points))
 
 
 def naive_mtp(g, kernel, components):

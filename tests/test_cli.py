@@ -40,6 +40,14 @@ def test_spectral_command_return(capsys):
     assert json.loads(out)["value"] == 1.0
 
 
+def test_spectral_command_return_honours_cap(capsys):
+    argv = ["spectral", "--oracle", "trivial", "--method", "return", "--steps", "3"]
+    _, out = run(capsys, argv)
+    assert json.loads(out)["truncated"] is False
+    _, out = run(capsys, argv + ["--cap", "10"])
+    assert json.loads(out)["truncated"] is True
+
+
 def test_intersect_command(capsys):
     code, out = run(capsys, [
         "intersect", "--gens1", "aa|b|abA", "--gens2", "a|b",

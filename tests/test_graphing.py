@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from helpers import dense_embedded, naive_energy, naive_mtp, random_graphing, union_find_components
+from helpers import dense_embedded, naive_energy, naive_markov, naive_mtp, random_graphing, union_find_components
 from cospectral.errors import ValidationError
 from cospectral.graphing import (
     Graphing,
     PartialMap,
+    RokhlinPartition,
     TestFunction,
     cesaro_average,
     check_rokhlin,
@@ -151,6 +152,18 @@ def test_rokhlin_fifty_random_graphings_exact():
                     y = m.mapping.get(x)
                     if y is not None and y in members:
                         assert y == x  # only fixed points may stay
+
+
+def test_check_rokhlin_rejects_broken_partitions():
+    g = cycle_graphing(6)
+    assert check_rokhlin(g, RokhlinPartition((), ((0, 2, 4), (1, 3, 5))), 0.1)
+    # a class holding a point and its image
+    assert not check_rokhlin(g, RokhlinPartition((), ((0, 1, 2, 4), (3, 5))), 0.1)
+    # point 5 is in no part
+    assert not check_rokhlin(g, RokhlinPartition((), ((0, 2, 4), (1, 3))), 0.1)
+    # B weighs 2 > delta, although its complement's classes are fine
+    assert not check_rokhlin(g, RokhlinPartition((0, 1), ((2, 4), (3, 5))), 0.1)
+    assert check_rokhlin(g, RokhlinPartition((0, 1), ((2, 4), (3, 5))), 2.0)
 
 
 def test_rokhlin_rejects_nonpositive_delta():
@@ -340,6 +353,15 @@ def test_interior_of_graphing():
     assert interior_of(g, range(10)).tolist() == list(range(10))
 
 
+def test_points_outside_the_graphing_rejected():
+    g = cycle_graphing(4)
+    for subset in ([-1, 7], [-1], [4], [0, 1, 4]):
+        with pytest.raises(ValidationError):
+            interior_of(g, subset)
+        with pytest.raises(ValidationError):
+            embedded_spectral_radius(g, subset)
+
+
 def test_graphing_validation_errors():
     with pytest.raises(ValidationError):
         Graphing([1.0, -1.0], [("m", {0: 1, 1: 0})])
@@ -374,6 +396,14 @@ def test_random_graphings_are_valid_and_markov_is_stochastic(seed):
     g = random_graphing(seed % 100, max_points=30)
     ones = np.ones(g.n_points)
     assert np.allclose(g.apply_markov(ones), ones)  # lazy M preserves constants
+
+
+def test_apply_markov_matches_per_map_reference():
+    rng = np.random.default_rng(7)
+    for seed in range(40):
+        g = random_graphing(seed + 900, max_points=40, max_pairs=5)
+        f = rng.normal(size=g.n_points)
+        assert np.allclose(g.apply_markov(f), naive_markov(g, f), rtol=0, atol=1e-12)
 
 
 def test_graphing_requires_a_map():

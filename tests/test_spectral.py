@@ -133,6 +133,21 @@ def test_return_probability_truncation_is_still_lower_bound():
     assert not full.truncated
 
 
+def test_return_probability_default_radius_is_exact():
+    # mass beyond distance n cannot return within 2n steps
+    for oracle in (
+        kernel_to_Z_oracle(1, (1,)),
+        trivial_subgroup_oracle(2),
+        StallingsOracle(build_automaton("aa,b", 2)),
+    ):
+        for n in (1, 2, 3, 4):
+            default = return_probability_bound(oracle, n)
+            wide = return_probability_bound(oracle, n, truncation_radius=2 * n)
+            assert default.value == wide.value
+            assert not default.truncated and not wide.truncated
+    assert return_probability_bound(trivial_subgroup_oracle(2), 3, truncation_radius=2).truncated
+
+
 def test_supermultiplicativity_untruncated():
     for oracle in (
         kernel_to_Z_oracle(1, (1,)),
