@@ -51,11 +51,18 @@ from .stallings import (
 )
 
 
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc}") from exc
+
+
 def _emit(payload: dict, out: str | None) -> None:
     text = json.dumps(payload, indent=2) + "\n"
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write(out, text)
     else:
         sys.stdout.write(text)
 
@@ -64,8 +71,7 @@ def _cmd_ball(args) -> int:
     oracle = parse_oracle_spec(args.oracle, seed=args.seed)
     ball = generate_ball(oracle, args.radius, vertex_cap=args.cap)
     if args.dot:
-        with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(ball_to_dot(ball))
+        _write(args.dot, ball_to_dot(ball))
     _emit(ball.summary(), args.out)
     return 0
 
@@ -93,8 +99,7 @@ def _cmd_intersect(args) -> int:
     a2 = build_automaton(_gens(args.gens2), args.d)
     inter = intersect_automata(a1, a2)
     if args.dot:
-        with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(automaton_to_dot(inter))
+        _write(args.dot, automaton_to_dot(inter))
     index = subgroup_index(inter)
     _emit(
         {
@@ -131,8 +136,12 @@ def _cmd_sample(args) -> int:
 
 
 def _load_graphing(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        return graphing_from_text(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ValidationError(f"cannot read graphing file {path}: {exc}") from exc
+    return graphing_from_text(text)
 
 
 def _cmd_graphing(args) -> int:

@@ -13,6 +13,7 @@ import csv
 import io
 import json
 from dataclasses import asdict, dataclass, fields
+from itertools import islice
 from typing import Callable
 
 import numpy as np
@@ -30,6 +31,7 @@ from .irs import (
 from .schreier import (
     SubgroupOracle,
     StallingsOracle,
+    _reduced_return_paths,
     count_reduced_returns,
     enumerate_double_cosets,
     folner_defect_ids,
@@ -40,8 +42,8 @@ from .schreier import (
     whole_group_oracle,
 )
 from .spectral import critical_exponent, dirichlet_lower_bound
-from .stallings import build_automaton, cogrowth_rate, parse_generator_list
-from .words import Word
+from .stallings import build_automaton, cogrowth_rate, inverse_slot, parse_generator_list
+from .words import WREATH_D, WREATH_LETTERS, Word, wreath_from_word
 
 __all__ = [
     "ExperimentConfig",
@@ -96,6 +98,14 @@ _INT_FIELDS = {"radius", "d", "component_cap", "vertex_cap", "window", "max_len"
 _FLOAT_FIELDS = {"gap_tol"}
 
 
+def _number(kind, text, what: str):
+    """int(text) or float(text), with malformed text as a ValidationError."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise ValidationError(f"malformed {what} {text!r}") from None
+
+
 def parse_int_set(spec: str) -> list[int]:
     """Parse "0..9" / "0..9|15|20..22" into a sorted list of integers."""
     out: set[int] = set()
@@ -105,23 +115,26 @@ def parse_int_set(spec: str) -> list[int]:
             continue
         if ".." in part:
             lo, _, hi = part.partition("..")
-            lo, hi = int(lo), int(hi)
+            lo, hi = _number(int, lo, "range bound"), _number(int, hi, "range bound")
             if hi < lo:
                 raise ValidationError(f"empty range {part!r}")
             out.update(range(lo, hi + 1))
         else:
-            out.add(int(part))
+            out.add(_number(int, part, "integer"))
     return sorted(out)
 
 
 def _coerce(key: str, value: str):
     value = value.strip()
     if key == "seeds":
-        return tuple(parse_int_set(value))
+        seeds = tuple(parse_int_set(value))
+        if not seeds:
+            raise ValidationError("seeds must name at least one seed")
+        return seeds
     if key in _INT_FIELDS:
-        return int(value)
+        return _number(int, value, key)
     if key in _FLOAT_FIELDS:
-        return float(value)
+        return _number(float, value, key)
     return value
 
 
@@ -129,18 +142,22 @@ def load_config(path: str, overrides: dict | None = None) -> ExperimentConfig:
     """Read the flat "key = value" config file, then apply CLI overrides."""
     known = {f.name for f in fields(ExperimentConfig)}
     values: dict = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, sep, value = line.partition("=")
-            if not sep:
-                raise ValidationError(f"{path}:{lineno}: expected 'key = value'")
-            key = key.strip()
-            if key not in known:
-                raise ValidationError(f"{path}:{lineno}: unknown config key {key!r}")
-            values[key] = _coerce(key, value)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except OSError as exc:
+        raise ValidationError(f"cannot read config {path}: {exc}") from exc
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, sep, value = line.partition("=")
+        if not sep:
+            raise ValidationError(f"{path}:{lineno}: expected 'key = value'")
+        key = key.strip()
+        if key not in known:
+            raise ValidationError(f"{path}:{lineno}: unknown config key {key!r}")
+        values[key] = _coerce(key, value)
     for key, value in (overrides or {}).items():
         if value is not None:
             values[key] = _coerce(key, str(value)) if isinstance(value, str) else value
@@ -166,7 +183,7 @@ def parse_oracle_spec(spec: str, seed: int | None = None, d: int | None = None) 
             if not sep:
                 raise ValidationError(f"malformed oracle parameter {item!r} in {spec!r}")
             params[key.strip()] = value.strip()
-    rank = int(params.get("d", d if d is not None else 2))
+    rank = _number(int, params.get("d", d if d is not None else 2), "rank d")
     if family == "trivial":
         return trivial_subgroup_oracle(rank)
     if family == "whole":
@@ -175,18 +192,18 @@ def parse_oracle_spec(spec: str, seed: int | None = None, d: int | None = None) 
         gens = params.get("gens", "")
         return StallingsOracle(build_automaton(gens.replace("|", ","), rank))
     if family == "zkernel":
-        weights = [int(x) for x in params.get("weights", "1").split("|")]
+        weights = [_number(int, x, "weight") for x in params.get("weights", "1").split("|")]
         return kernel_to_Z_oracle(len(weights), weights)
     if family == "perm":
-        n = int(params.get("n", 50))
-        use_seed = int(params["seed"]) if "seed" in params else seed
+        n = _number(int, params.get("n", 50), "point count n")
+        use_seed = _number(int, params["seed"], "seed") if "seed" in params else seed
         if use_seed is None:
             raise ValidationError(f"permutation oracle spec {spec!r} needs a seed")
         return permutation_stabilizer_oracle(n, rank, use_seed)
     if family == "percolation":
-        p = float(params.get("p", 0.5))
-        window = int(params.get("window", 1000))
-        use_seed = int(params["seed"]) if "seed" in params else seed
+        p = _number(float, params.get("p", 0.5), "probability p")
+        window = _number(int, params.get("window", 1000), "window")
+        use_seed = _number(int, params["seed"], "seed") if "seed" in params else seed
         if use_seed is None:
             raise ValidationError(f"percolation oracle spec {spec!r} needs a seed")
         return wreath_percolation_oracle(sample_bernoulli_percolation(p, window, use_seed))
@@ -315,88 +332,45 @@ def exp_sup_conjugates(config: ExperimentConfig) -> dict:
     }
 
 
-def _search_common_elements(sites_a, sites_b, max_len: int):
-    """DFS all reduced words of length <= max_len over {s,a,b}^(+-1),
-    tracking the wreath normal form incrementally, and count nontrivial
-    elements lying in both H_A and H_B.
+def _wreath_oracle(sites, window: int):
+    return wreath_percolation_oracle(percolation_from_sites(sites, window))
 
-    State is mutated in place with undo, so the whole enumeration allocates
-    almost nothing; membership checks are O(1) via counters of nonempty
-    lamps outside each site set.
+
+def _common_elements(sites_a, sites_b, max_len: int, window: int):
+    """Count the reduced words of length 1..max_len over {s,a,b}^(+-1) that
+    are nontrivial elements of both H_A and H_B, and list the first 10 in
+    preorder with letters in slot order (s, a, b, S, A, B).
+
+    A word lies in H_A and H_B iff its path closes at the root of the
+    product Schreier graph, and it is trivial iff its path closes in the
+    Cayley graph, the oracle over the empty site set.  So the count is a
+    difference of closed reduced-path counts.  The examples come from a
+    walk of the product ball that follows an edge only if a closed path of
+    the remaining length starts along it.
     """
-    letters = (1, 2, 3, -1, -2, -3)
-    lamps: dict[int, list[int]] = {}
-    state = {"shift": 0, "out_a": 0, "out_b": 0, "nonempty": 0}
-    hits: list[str] = []
-    counts = {"nodes": 0, "hits": 0}
-    path: list[int] = []
+    product = product_oracle(_wreath_oracle(sites_a, window), _wreath_oracle(sites_b, window))
+    hits = sum(count_reduced_returns(product, max_len))
+    hits -= sum(count_reduced_returns(_wreath_oracle((), window), max_len))
+    if hits == 0:
+        return 0, []
+    table, vectors = _reduced_return_paths(product, max_len)
+    # first[u][s]: least k with a closed path of k steps leaving u along slot s
+    first = np.full(table.shape, max_len + 1)
+    for k, x in enumerate(vectors, start=1):
+        first[(first > max_len) & (x > 0)] = k
+    table, first = table.tolist(), first.tolist()
 
-    def lamp_push(pos: int, lamp_letter: int):
-        word = lamps.setdefault(pos, [])
-        if word and word[-1] == -lamp_letter:
-            word.pop()
-            action = "pop"
-        else:
-            word.append(lamp_letter)
-            action = "append"
-        was = len(word) == (0 if action == "pop" else 1)
-        if was:  # emptiness flipped
-            delta = -1 if action == "pop" else 1
-            state["nonempty"] += delta
-            if pos not in sites_a:
-                state["out_a"] += delta
-            if pos not in sites_b:
-                state["out_b"] += delta
-        return action
+    def closed(u: int, back: int, prefix: tuple):
+        """Closed reduced words extending ``prefix`` from vertex u, in preorder."""
+        for s, letter in enumerate(WREATH_LETTERS):
+            if s != back and first[u][s] <= max_len - len(prefix):
+                t, word = table[u][s], prefix + (letter,)
+                if t == 0:
+                    yield word
+                yield from closed(t, inverse_slot(s, WREATH_D), word)
 
-    def lamp_undo(pos: int, lamp_letter: int, action: str):
-        word = lamps[pos]
-        if action == "pop":
-            word.append(-lamp_letter)
-            flipped = len(word) == 1
-            delta = 1
-        else:
-            word.pop()
-            flipped = len(word) == 0
-            delta = -1
-        if flipped:
-            state["nonempty"] += delta
-            if pos not in sites_a:
-                state["out_a"] += delta
-            if pos not in sites_b:
-                state["out_b"] += delta
-
-    def visit(depth: int, last_letter: int):
-        for letter in letters:
-            if last_letter and letter == -last_letter:
-                continue
-            if letter in (1, -1):
-                state["shift"] += 1 if letter > 0 else -1
-                token = None
-            else:
-                lamp_letter = (abs(letter) - 1) * (1 if letter > 0 else -1)
-                token = (state["shift"], lamp_letter, lamp_push(state["shift"], lamp_letter))
-            path.append(letter)
-            counts["nodes"] += 1
-            if (
-                state["shift"] == 0
-                and state["nonempty"] > 0
-                and state["out_a"] == 0
-                and state["out_b"] == 0
-            ):
-                counts["hits"] += 1
-                if len(hits) < 10:
-                    hits.append(str(Word(tuple(path))))
-            if depth + 1 < max_len:
-                visit(depth + 1, letter)
-            path.pop()
-            if letter in (1, -1):
-                state["shift"] -= 1 if letter > 0 else -1
-            else:
-                lamp_undo(*token)
-
-    visit(0, 0)
-    return counts["hits"], hits, counts["nodes"]
+    nontrivial = (w for w in closed(0, -1, ()) if not wreath_from_word(Word(w)).is_identity())
+    return hits, [str(Word(w)) for w in islice(nontrivial, 10)]
 
 
 def exp_wreath_counterexample(config: ExperimentConfig) -> dict:
@@ -414,15 +388,16 @@ def exp_wreath_counterexample(config: ExperimentConfig) -> dict:
     for x in sites_a | sites_b:
         if abs(x) > window:
             raise ValidationError(f"site {x} lies outside the window [-{window}, {window}]")
+    if config.max_len < 1:
+        raise ValidationError(f"max_len must be >= 1, got {config.max_len}")
     if config.max_len > window:
         raise ValidationError(
             f"max_len {config.max_len} exceeds the window {window}; walks could escape"
         )
 
-    hits, examples, nodes = _search_common_elements(sites_a, sites_b, config.max_len)
+    hits, examples = _common_elements(sites_a, sites_b, config.max_len, window)
 
-    sample_a = percolation_from_sites(sites_a, window)
-    oracle_a = wreath_percolation_oracle(sample_a)
+    oracle_a = _wreath_oracle(sites_a, window)
     folner_rows = []
     seg_len = longest_segment(sites_a)
     for lo, hi in maximal_segments(sites_a):
@@ -443,7 +418,8 @@ def exp_wreath_counterexample(config: ExperimentConfig) -> dict:
             "sets_disjoint": not (sites_a & sites_b),
             "common_nontrivial_elements": hits,
             "example_common_elements": examples,
-            "words_enumerated": nodes,
+            # every reduced word of length 1..max_len is decided
+            "words_enumerated": 6 * (5**config.max_len - 1) // 4,
             "max_len": config.max_len,
             "folner_best_defect": best_defect,
             "longest_segment_a": seg_len,

@@ -537,6 +537,41 @@ def enumerate_double_cosets(
     return entries
 
 
+def _reduced_return_paths(
+    oracle: SubgroupOracle,
+    n: int,
+    vertex_cap: int = DEFAULT_VERTEX_CAP,
+):
+    """Slot table of the radius-floor(n/2) ball and an iterator over the
+    edge vectors x_1..x_n of its non-backtracking closed-path counts.
+
+    ``table`` is ``ball.nbr`` with rim targets mapped to the sentinel
+    ``n_vertices``.  x_k[u, s] counts the non-backtracking paths of k steps
+    that leave ball vertex u along slot s and end at the root; x_1 is the
+    indicator of edges ending at the root and x_{k+1} = B x_k.  A path
+    that returns within n steps never leaves the ball, so every count is
+    exact.  Entries never exceed 2d(2d-1)^(n-1): below 2**63 they run in
+    int64, above it in Python integers, so there is no overflow.
+    """
+    if n < 1:
+        raise ValidationError(f"n must be >= 1, got {n}")
+    ball = generate_ball(oracle, n // 2, vertex_cap=vertex_cap)
+    width = 2 * oracle.d
+    dtype = np.int64 if width * (width - 1) ** (n - 1) < 2**63 else object
+    table = np.minimum(ball.nbr, ball.n_vertices)
+
+    def vectors():
+        step = _nonbacktracking(table, oracle.d, dtype)
+        x = np.zeros(table.shape, dtype=dtype)
+        x[table == 0] = 1
+        yield x
+        for _ in range(n - 1):
+            x = step(x)
+            yield x
+
+    return table, vectors()
+
+
 def count_reduced_returns(
     oracle: SubgroupOracle,
     n: int,
@@ -545,28 +580,11 @@ def count_reduced_returns(
     """Exact counts of reduced words of each length 1..n fixing the root.
 
     These are the non-backtracking closed path counts at the root, i.e. the
-    number of subgroup elements of each reduced length for free families.
-    A path that returns within n steps never leaves the radius-floor(n/2)
-    ball, so that window suffices and the counts stay exact.  The k-th
-    iterate of the non-backtracking operator on the indicator of edges
-    ending at the root counts the length-k paths from each edge home.
-    Entries never exceed 2d(2d-1)^(n-1): below 2**63 they run in int64,
-    above it in Python integers, so there is no overflow.
+    number of subgroup elements of each reduced length for free families:
+    the k-th count sums the root row of x_k from ``_reduced_return_paths``.
     """
-    if n < 1:
-        raise ValidationError(f"n must be >= 1, got {n}")
-    ball = generate_ball(oracle, n // 2, vertex_cap=vertex_cap)
-    width = 2 * oracle.d
-    dtype = np.int64 if width * (width - 1) ** (n - 1) < 2**63 else object
-    table = np.minimum(ball.nbr, ball.n_vertices)  # rim targets -> zero sentinel
-    step = _nonbacktracking(table, oracle.d, dtype)
-    x = np.zeros(table.shape, dtype=dtype)
-    x[table == 0] = 1
-    counts = [int(x[0].sum())]
-    for _ in range(n - 1):
-        x = step(x)
-        counts.append(int(x[0].sum()))
-    return counts
+    _, vectors = _reduced_return_paths(oracle, n, vertex_cap)
+    return [int(x[0].sum()) for x in vectors]
 
 
 def ball_to_dot(ball: SchreierBall, name: str = "ball") -> str:

@@ -7,7 +7,8 @@ functions on the coset space.  Two certified lower bounds are provided:
 * the top Rayleigh quotient of M over functions supported on the interior
   of a finite ball (Dirichlet restriction), computed by restarted Lanczos
   iteration with full reorthogonalisation, and
-* return probabilities, p_{2n}(root, root)^(1/2n) <= rho by self-adjointness.
+* return probabilities, p_{2n}(root, root)^(1/2n) <= rho by self-adjointness,
+  from 2n applications of the same ball-table matvec to the root indicator.
 
 For f.g. subgroups of free groups the cogrowth base alpha converts to the
 exact co-spectral radius through the classical cogrowth formula.
@@ -16,17 +17,14 @@ exact co-spectral radius through the classical cogrowth formula.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import BallCapExceeded, ValidationError
+from .schreier import DEFAULT_VERTEX_CAP, SchreierBall, SubgroupOracle, generate_ball
 from .stallings import CogrowthResult
-from .words import letters_of_rank
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .schreier import SchreierBall, SubgroupOracle
 
 __all__ = [
     "SpectralEstimate",
@@ -37,15 +35,13 @@ __all__ = [
     "critical_exponent",
 ]
 
-DEFAULT_STATE_CAP = 5_000_000
-
 
 @dataclass
 class SpectralEstimate:
     """A certified lower bound for the co-spectral radius.
 
-    ``radius`` is the ball radius for the Dirichlet method and the
-    truncation radius for the return-probability method.  ``iterations``
+    ``radius`` is the ball radius for the Dirichlet method and the radius
+    of the walk's ball for the return-probability method.  ``iterations``
     counts operator applications: matvecs of the Dirichlet solve, or the
     2n walk steps of the return-probability method.
     """
@@ -154,7 +150,7 @@ def _neighbor_average(table: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     return matvec
 
 
-def _interior_rows(ball: "SchreierBall", radius: int) -> np.ndarray:
+def _interior_rows(ball: SchreierBall, radius: int) -> np.ndarray:
     """Ball vertices within ``radius`` all of whose neighbors stay within."""
     dist_full = ball.dist_full
     cand = np.nonzero(ball.dist <= radius)[0]
@@ -163,7 +159,7 @@ def _interior_rows(ball: "SchreierBall", radius: int) -> np.ndarray:
 
 
 def dirichlet_vector(
-    ball: "SchreierBall",
+    ball: SchreierBall,
     radius: int | None = None,
     tol: float = 1e-10,
     max_iterations: int = 200_000,
@@ -199,7 +195,7 @@ def dirichlet_vector(
 
 
 def dirichlet_lower_bound(
-    ball: "SchreierBall",
+    ball: SchreierBall,
     tol: float = 1e-10,
     max_iterations: int = 200_000,
     radius: int | None = None,
@@ -216,54 +212,50 @@ def dirichlet_lower_bound(
 
 
 def return_probability_bound(
-    oracle: "SubgroupOracle",
+    oracle: SubgroupOracle,
     n: int,
     truncation_radius: int | None = None,
-    state_cap: int = DEFAULT_STATE_CAP,
+    state_cap: int = DEFAULT_VERTEX_CAP,
 ) -> SpectralEstimate:
-    """p_{2n}(root, root)^(1/2n), from exact distribution-vector iteration.
+    """p_{2n}(root, root)^(1/2n), from 2n exact steps of the averaging
+    operator on a ball window.
 
-    States are tracked out to ``truncation_radius`` (default n), or to n
-    if that is smaller: mass beyond distance n cannot return within 2n
-    steps, so dropping it is exact.  Mass dropped at a radius below n, or
-    by ``state_cap``, only lowers the return probability, so the result
-    remains a valid lower bound and is flagged truncated.
+    The walk runs on the ball of radius ``truncation_radius`` (default n),
+    or n if that is smaller, and mass leaving the ball is dropped.  A walk
+    that returns within 2n steps never leaves the radius-n ball, so there
+    the value is exact.  ``state_cap`` is the ball's vertex cap, outer rim
+    included; past it the walk runs on the largest ball that fits, and on
+    no ball (value 0) if even the root's rim does not fit.  Mass dropped
+    below distance n only lowers the return probability, so the result
+    remains a valid lower bound and is flagged truncated.  ``radius`` is
+    the radius the walk used.
     """
     if n < 1:
         raise ValidationError(f"n must be >= 1, got {n}")
     trunc = n if truncation_radius is None else truncation_radius
     if trunc < 0:
         raise ValidationError("truncation radius must be >= 0")
-    trunc = min(trunc, n)
-    letters = letters_of_rank(oracle.d)
-    share_factor = 1.0 / len(letters)
-    act = oracle.act
-    root = oracle.root
-
-    probs = {root: 1.0}
-    dist = {root: 0}
-    truncated = False
+    radius = min(trunc, n)
     steps = 2 * n
+    try:
+        ball = generate_ball(oracle, radius, vertex_cap=state_cap)
+    except BallCapExceeded as exc:
+        if exc.attained_radius < 0:
+            return SpectralEstimate(
+                0.0, "return_probability", 0, steps, 0.0, True, ("zero_return_probability",)
+            )
+        capped = return_probability_bound(oracle, n, exc.attained_radius, state_cap)
+        return replace(capped, truncated=True)
+    walk = _neighbor_average(np.minimum(ball.nbr, ball.n_vertices))
+    x = np.zeros(ball.n_vertices)
+    x[0] = 1.0
     for _ in range(steps):
-        nxt: dict = {}
-        for coset, p in probs.items():
-            share = p * share_factor
-            dc = dist[coset]
-            for letter in letters:
-                t = act(letter, coset)
-                dt = dist.get(t)
-                if dt is None:
-                    dt = dc + 1
-                    if dt > trunc or len(dist) >= state_cap:
-                        truncated = truncated or dt <= n
-                        continue
-                    dist[t] = dt
-                nxt[t] = nxt.get(t, 0.0) + share
-        probs = nxt
-    p_return = probs.get(root, 0.0)
+        x = walk(x)
+    p_return = float(x[0])
     value = p_return ** (1.0 / steps) if p_return > 0 else 0.0
     flags = () if p_return > 0 else ("zero_return_probability",)
-    return SpectralEstimate(value, "return_probability", trunc, steps, 0.0, truncated, flags)
+    truncated = radius < n and ball.n_outer > 0
+    return SpectralEstimate(value, "return_probability", radius, steps, 0.0, truncated, flags)
 
 
 def grigorchuk_rho(alpha: float, d: int) -> float:

@@ -275,13 +275,12 @@ def parse_generator_list(spec: Union[str, Iterable[Union[str, Word]]]) -> list[W
 
 def read_generator_file(path: str) -> list[Word]:
     """Subgroup text format: one generator word per line, '#' comments."""
-    out = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.strip()
-            if line and not line.startswith("#"):
-                out.append(parse_word(line))
-    return out
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = [raw.strip() for raw in fh]
+    except OSError as exc:
+        raise ValidationError(f"cannot read generator file {path}: {exc}") from exc
+    return [parse_word(line) for line in lines if line and not line.startswith("#")]
 
 
 def build_automaton(generators: Union[str, Iterable[Union[str, Word]]], d: int) -> StallingsAutomaton:

@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from cospectral.cli import main
 from cospectral.graphing import Graphing, graphing_to_text
@@ -163,6 +164,30 @@ def test_exit_code_resource_cap(capsys):
     code = main(["ball", "--oracle", "trivial", "--radius", "9", "--cap", "40"])
     assert code == 3
     assert "resource cap" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, config", [
+    pytest.param(["ball", "--oracle", "perm:n=abc", "--radius", "1", "--seed", "0"], None, id="perm-n"),
+    pytest.param(["ball", "--oracle", "trivial:d=x", "--radius", "1"], None, id="trivial-d"),
+    pytest.param(["experiment", "main_theorem", "--config", "{cfg}"],
+                 "experiment = main_theorem\nradius = abc\n", id="config-radius"),
+    pytest.param(["experiment", "main_theorem", "--config", "{cfg}"],
+                 "experiment = main_theorem\nseeds = 1..x\n", id="config-seed-range"),
+    pytest.param(["experiment", "sup_conjugates", "--config", "{cfg}"],
+                 "experiment = sup_conjugates\nseeds =\n", id="config-empty-seeds"),
+    pytest.param(["experiment", "main_theorem", "--config", "{missing}"], None, id="missing-config"),
+    pytest.param(["cogrowth", "--gens", "@{missing}"], None, id="missing-generator-file"),
+    pytest.param(["graphing", "mtp", "--file", "{missing}"], None, id="missing-graphing-file"),
+    pytest.param(["ball", "--oracle", "trivial", "--radius", "1", "--out", "{missing}/x.json"],
+                 None, id="unwritable-out"),
+])
+def test_malformed_input_exits_with_validation_code(capsys, tmp_path, argv, config):
+    cfg = tmp_path / "exp.cfg"
+    if config is not None:
+        cfg.write_text(config)
+    paths = {"cfg": cfg, "missing": tmp_path / "missing.txt"}
+    assert main([arg.format(**paths) for arg in argv]) == 2
+    assert "error" in capsys.readouterr().err
 
 
 def test_config_experiment_name_mismatch(capsys, tmp_path):

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -189,6 +193,12 @@ def test_wreath_counterexample_window_validation():
             experiment="wreath_counterexample", set_a="0..4", set_b="5..9",
             max_len=20, window=10,
         ))
+    for max_len in (0, -1):
+        with pytest.raises(ValidationError):
+            exp_wreath_counterexample(ExperimentConfig(
+                experiment="wreath_counterexample", set_a="0..4", set_b="0..4",
+                max_len=max_len, window=10,
+            ))
 
 
 def test_cogrowth_sweep_whole_h1_is_exact():
@@ -284,13 +294,15 @@ def test_gap_never_meaningfully_negative():
 
 
 def test_common_element_search_matches_naive_products():
-    from cospectral.experiments import _search_common_elements
-    from cospectral.words import WreathElement, wreath_generator
+    from cospectral.experiments import _common_elements
+    from cospectral.words import Word, WreathElement, wreath_generator
+
+    letters = (1, 2, 3, -1, -2, -3)
 
     def naive(sites_a, sites_b, max_len):
-        letters = (1, 2, 3, -1, -2, -3)
         gens = {l: wreath_generator(l) for l in letters}
         hits = 0
+        words = []
         frontier = [((), WreathElement())]
         for _ in range(max_len):
             nxt = []
@@ -304,8 +316,9 @@ def test_common_element_search_matches_naive_products():
                             and all(p in sites_a for p, _ in new.support)
                             and all(p in sites_b for p, _ in new.support)):
                         hits += 1
+                        words.append(word + (l,))
             frontier = nxt
-        return hits
+        return hits, words
 
     cases = [
         ({0, 1}, {2, 3}, 5),
@@ -313,7 +326,29 @@ def test_common_element_search_matches_naive_products():
         ({0}, {0, 1}, 5),
         ({-1, 1}, {0, 2}, 5),
         (set(), {0}, 4),
+        (set(range(5)), set(range(3, 8)), 8),
     ]
     for sites_a, sites_b, max_len in cases:
-        fast, _, _ = _search_common_elements(sites_a, sites_b, max_len)
-        assert fast == naive(sites_a, sites_b, max_len)
+        fast, examples = _common_elements(sites_a, sites_b, max_len, max_len)
+        hits, words = naive(sites_a, sites_b, max_len)
+        assert fast == hits
+        preorder = sorted(words, key=lambda w: [letters.index(l) for l in w])
+        assert examples == [str(Word(w)) for w in preorder[:10]]
+
+
+def test_run_experiments_script_is_byte_identical(tmp_path):
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    outputs = []
+    for name in ("first", "second"):
+        outdir = tmp_path / name
+        subprocess.run(
+            [sys.executable, str(root / "scripts" / "run_experiments.py"), "--fast",
+             "--outdir", str(outdir)],
+            check=True, env=env, capture_output=True,
+        )
+        outputs.append({p.name: p.read_bytes() for p in sorted(outdir.iterdir())})
+    assert len(outputs[0]) == 8  # a .json and a .csv per experiment
+    assert outputs[0] == outputs[1]
+    wreath = json.loads(outputs[0]["wreath_counterexample.json"])
+    assert wreath["summary"]["max_len"] == 10

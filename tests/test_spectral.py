@@ -234,6 +234,10 @@ def test_return_probability_state_cap_flags_truncated():
     est = return_probability_bound(trivial_subgroup_oracle(2), 4, truncation_radius=8, state_cap=10)
     assert est.truncated
     assert est.value <= math.sqrt(3) / 2  # still a valid lower bound
+    # the root's rim alone overflows the cap: no walk, value 0, no exception
+    est = return_probability_bound(trivial_subgroup_oracle(2), 4, state_cap=1)
+    assert est.value == 0.0
+    assert est.truncated
 
 
 def test_non_convergence_flagged():
