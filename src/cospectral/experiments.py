@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ResourceCapError, ValidationError
+from .errors import ResourceCapError, ValidationError, _number
 from .irs import (
     kernel_to_Z_oracle,
     longest_segment,
@@ -96,14 +96,6 @@ class ExperimentConfig:
 _INT_FIELDS = {"radius", "d", "component_cap", "vertex_cap", "window", "max_len",
                "n_lengths", "max_generators", "max_word_len"}
 _FLOAT_FIELDS = {"gap_tol"}
-
-
-def _number(kind, text, what: str):
-    """int(text) or float(text), with malformed text as a ValidationError."""
-    try:
-        return kind(text)
-    except ValueError:
-        raise ValidationError(f"malformed {what} {text!r}") from None
 
 
 def parse_int_set(spec: str) -> list[int]:

@@ -20,7 +20,7 @@ from typing import Callable, Iterable, Mapping, Sequence, Union
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, _number
 from .schreier import SchreierBall, folner_defect, interior_boundary
 from .spectral import _neighbor_average, _top_eigenpair
 
@@ -580,7 +580,7 @@ def graphing_from_text(text: str) -> Graphing:
         if not line or line.startswith("#"):
             continue
         if line.startswith("weights"):
-            weights = [float(tok) for tok in line.split()[1:]]
+            weights = [_number(float, tok, "graphing weight") for tok in line.split()[1:]]
             continue
         label, _, body = line.partition(":")
         if not _:
@@ -590,7 +590,10 @@ def graphing_from_text(text: str) -> Graphing:
             src, _, dst = token.partition("->")
             if not _:
                 raise ValidationError(f"malformed pair {token!r} in map {label!r}")
-            mapping[int(src)] = int(dst)
+            x = _number(int, src, f"point in map {label!r}")
+            if x in mapping:
+                raise ValidationError(f"point {x} has two images in map {label!r}")
+            mapping[x] = _number(int, dst, f"point in map {label!r}")
         maps.append(PartialMap(label.strip(), mapping))
     if weights is None:
         raise ValidationError("graphing text is missing the weights header")

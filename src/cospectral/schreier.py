@@ -2,9 +2,10 @@
 
 An oracle presents the right action of the generators on right cosets: a
 root coset, ``act(letter, coset)``, and optionally a membership test.  Balls
-are exact BFS windows; every ball vertex stores all 2d neighbor slots, with
-targets one step beyond the radius interned as "outer" vertices so that
-interiors, boundaries and Folner defects are exact even at the rim.
+are exact BFS windows; every ball vertex stores all 2d neighbor slots.  The
+targets one step beyond the radius form the outer rim, which one BFS stores
+after the ball in the same vertex numbering, so that interiors, boundaries
+and Folner defects are exact even at the rim.
 """
 
 from __future__ import annotations
@@ -188,22 +189,25 @@ def conjugate_oracle(oracle: SubgroupOracle, word: Word) -> RerootedOracle:
 class SchreierBall:
     """Exact radius-R window of a Schreier graph.
 
-    ``nbr[i]`` holds the 2d neighbor slots of ball vertex i in letter order;
-    targets with index >= n_vertices lie one step beyond the radius (their
-    own neighbors are unknown).  Ball vertices are numbered in BFS discovery
-    order, so indices are sorted by distance and index 0 is the root.
+    ``nbr[i]`` holds the 2d neighbor slots of ball vertex i in letter order.
+    One BFS numbers every vertex it stores: the ball vertices 0..n-1 first
+    (sorted by distance, index 0 is the root), then the rim, the vertices
+    one step beyond the radius, in discovery order.  Rim indices appear
+    only as ``nbr`` targets; their own neighbors are unknown.  ``index``
+    maps every stored id, rim included, to its index, and ``dist_full``
+    holds the distances of all of them (``dist`` is its ball prefix).
     """
 
-    def __init__(self, oracle, radius, ids, index, dist, nbr, outer_ids, parents):
+    def __init__(self, oracle, radius, ids, index, dist_full, nbr):
+        n = len(nbr)
         self.oracle = oracle
         self.radius = radius
-        self.ids = ids
+        self.ids = ids[:n]
+        self.outer_ids = ids[n:]
         self.index = index
-        self.dist = dist
+        self.dist_full = np.asarray(dist_full, dtype=np.int32)
+        self.dist = self.dist_full[:n]
         self.nbr = nbr
-        self.outer_ids = outer_ids
-        self.parents = parents
-        self._dist_full = None
 
     @property
     def n_vertices(self) -> int:
@@ -213,53 +217,39 @@ class SchreierBall:
     def n_outer(self) -> int:
         return len(self.outer_ids)
 
-    @property
-    def dist_full(self) -> np.ndarray:
-        """Distances for ball and outer indices (outer pinned at R+1)."""
-        if self._dist_full is None:
-            self._dist_full = np.concatenate(
-                [self.dist, np.full(self.n_outer, self.radius + 1, dtype=np.int32)]
-            )
-        return self._dist_full
-
     def id_of(self, index: int):
         n = self.n_vertices
         return self.ids[index] if index < n else self.outer_ids[index - n]
 
     def indices_of(self, vertices: Iterable) -> np.ndarray:
         """Normalize a vertex collection (ids or indices) to sorted indices."""
+        n = self.n_vertices
         out = []
         for v in vertices:
             if isinstance(v, (int, np.integer)):
-                if not 0 <= v < self.n_vertices:
+                if not 0 <= v < n:
                     raise ValidationError(f"vertex index {v} outside the ball")
                 out.append(int(v))
             else:
-                j = self.index.get(v)
-                if j is None:
+                j = self.index.get(v, n)
+                if j >= n:
                     raise ValidationError(f"vertex {v!r} is not in the ball")
                 out.append(j)
         return np.array(sorted(set(out)), dtype=np.int64)
 
     def word_to(self, index: int) -> Word:
-        """A shortest word moving the root to the given ball vertex."""
-        letters = []
-        while index != 0:
-            parent, letter = self.parents[index]
-            letters.append(letter)
-            index = parent
-        return Word(tuple(reversed(letters)))
-
-    def edges(self, inner_only: bool = False):
-        """Yield (id, letter, id) triples, one per vertex and letter."""
-        n = self.n_vertices
+        """A shortest word moving the root to the given ball vertex: the BFS
+        tree path.  A vertex's BFS parent is its least-indexed neighbor one
+        step closer, reached along that parent's first slot into it."""
         letters = letters_of_rank(self.oracle.d)
-        for i in range(n):
-            for s, letter in enumerate(letters):
-                t = int(self.nbr[i, s])
-                if inner_only and t >= n:
-                    continue
-                yield self.ids[i], letter, self.id_of(t)
+        dist = self.dist_full
+        path = []
+        while index != 0:
+            row = self.nbr[index].tolist()
+            parent = min(t for t in row if dist[t] < dist[index])
+            path.append(letters[self.nbr[parent].tolist().index(index)])
+            index = parent
+        return Word(tuple(reversed(path)))
 
     def summary(self) -> dict:
         return {
@@ -277,8 +267,10 @@ def generate_ball(
 ) -> SchreierBall:
     """BFS the radius-R ball around the root coset, exactly and deterministically.
 
-    Raises BallCapExceeded (carrying the last fully explored radius) if the
-    ball plus its outer rim would exceed ``vertex_cap`` vertices.
+    Rim vertices are stored after the ball in the same BFS order and never
+    expanded.  Raises BallCapExceeded if the ball plus its rim would exceed
+    ``vertex_cap`` vertices; its ``attained_radius`` is the largest radius
+    whose ball and rim fit.
     """
     if radius < 0:
         raise ValidationError(f"radius must be >= 0, got {radius}")
@@ -289,63 +281,31 @@ def generate_ball(
     ids = [root]
     index = {root: 0}
     dist = [0]
-    parents = [(-1, 0)]
-    outer_index: dict = {}
-    outer_ids: list = []
-    rows: list[list[int]] = []
+    targets: list[int] = []
 
     i = 0
-    while i < len(ids):  # ids grows during iteration
+    while i < len(ids) and dist[i] <= radius:  # ids grows during iteration
         here = ids[i]
-        dist_here = dist[i]
-        expanding = dist_here < radius
-        row = []
+        step = dist[i] + 1
         for letter in letters:
             t = act(letter, here)
             j = index.get(t)
             if j is None:
-                if expanding:
-                    j = len(ids)
-                    index[t] = j
-                    ids.append(t)
-                    dist.append(dist_here + 1)
-                    parents.append((i, letter))
-                    if len(ids) + len(outer_ids) > vertex_cap:
-                        raise BallCapExceeded(
-                            f"vertex cap {vertex_cap} exceeded at radius "
-                            f"{dist_here + 1} (ball of radius {dist_here} complete)",
-                            attained_radius=dist_here,
-                        )
-                else:
-                    j = outer_index.get(t)
-                    if j is None:
-                        j = -(len(outer_ids) + 1)
-                        outer_index[t] = j
-                        outer_ids.append(t)
-                        if len(ids) + len(outer_ids) > vertex_cap:
-                            raise BallCapExceeded(
-                                f"vertex cap {vertex_cap} exceeded while rimming "
-                                f"radius {radius} (ball of radius {radius - 1} complete)",
-                                attained_radius=radius - 1,
-                            )
-            row.append(j)
-        rows.append(row)
+                j = len(ids)
+                if j >= vertex_cap:
+                    raise BallCapExceeded(
+                        f"vertex cap {vertex_cap} exceeded at distance {step} "
+                        f"(attained radius {step - 2})",
+                        attained_radius=step - 2,
+                    )
+                index[t] = j
+                ids.append(t)
+                dist.append(step)
+            targets.append(j)
         i += 1
 
-    n = len(ids)
-    nbr = np.array(rows, dtype=np.int32).reshape(n, 2 * oracle.d)
-    negative = nbr < 0
-    nbr[negative] = n + (-nbr[negative] - 1)
-    return SchreierBall(
-        oracle,
-        radius,
-        ids,
-        index,
-        np.array(dist, dtype=np.int32),
-        nbr,
-        outer_ids,
-        parents,
-    )
+    nbr = np.array(targets, dtype=np.int32).reshape(i, 2 * oracle.d)
+    return SchreierBall(oracle, radius, ids, index, dist, nbr)
 
 
 @dataclass

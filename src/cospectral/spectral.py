@@ -17,7 +17,7 @@ exact co-spectral radius through the classical cogrowth formula.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -244,8 +244,10 @@ def return_probability_bound(
             return SpectralEstimate(
                 0.0, "return_probability", 0, steps, 0.0, True, ("zero_return_probability",)
             )
-        capped = return_probability_bound(oracle, n, exc.attained_radius, state_cap)
-        return replace(capped, truncated=True)
+        # the attained ball fits with its rim; its rim is nonempty, or the
+        # whole graph would have fit, so the result below is flagged truncated
+        radius = exc.attained_radius
+        ball = generate_ball(oracle, radius, vertex_cap=state_cap)
     walk = _neighbor_average(np.minimum(ball.nbr, ball.n_vertices))
     x = np.zeros(ball.n_vertices)
     x[0] = 1.0

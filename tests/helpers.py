@@ -5,6 +5,8 @@ eigensolves, nested-loop quadratic forms, free-reduction closures) so the
 production code paths are checked against genuinely different algorithms.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 
 from cospectral.graphing import Graphing
@@ -203,6 +205,53 @@ def stabilizer_generators(oracle):
             if not word.is_identity():
                 gens.append(word)
     return gens
+
+
+def reference_ball(oracle, radius):
+    """Naive BFS window (oracle): per-vertex BFS parents and a separate rim
+    dict, renumbered after the ball at the end.  Returns the ball's ids,
+    rim ids, distances, neighbor rows, ball index and a word per vertex."""
+    letters = letters_of_rank(oracle.d)
+    ids = [oracle.root]
+    index = {oracle.root: 0}
+    dist = [0]
+    parents = [None]
+    rim = {}
+    rows = []
+    for i, here in enumerate(ids):  # ids grows while iterating
+        row = []
+        for letter in letters:
+            t = oracle.act(letter, here)
+            if t in index:
+                row.append(index[t])
+            elif dist[i] < radius:
+                index[t] = len(ids)
+                ids.append(t)
+                dist.append(dist[i] + 1)
+                parents.append((i, letter))
+                row.append(index[t])
+            else:
+                rim.setdefault(t, len(rim))
+                row.append(("rim", rim[t]))
+        rows.append(row)
+    n = len(ids)
+    nbr = np.array([[t if isinstance(t, int) else n + t[1] for t in row] for row in rows])
+    words = []
+    for i in range(n):
+        path = []
+        while parents[i] is not None:
+            i, letter = parents[i]
+            path.append(letter)
+        words.append(Word(tuple(reversed(path))))
+    return SimpleNamespace(
+        ids=ids,
+        outer_ids=list(rim),
+        dist=np.array(dist),
+        dist_full=np.array(dist + [radius + 1] * len(rim)),
+        nbr=nbr,
+        index=index,
+        words=words,
+    )
 
 
 def ball_key(ball):

@@ -180,6 +180,12 @@ def test_exit_code_resource_cap(capsys):
     pytest.param(["graphing", "mtp", "--file", "{missing}"], None, id="missing-graphing-file"),
     pytest.param(["ball", "--oracle", "trivial", "--radius", "1", "--out", "{missing}/x.json"],
                  None, id="unwritable-out"),
+    pytest.param(["graphing", "mtp", "--file", "{cfg}"], "weights 1 1\nm: 0->x\n",
+                 id="graphing-point"),
+    pytest.param(["graphing", "mtp", "--file", "{cfg}"], "weights 1 z\nm: 0->1\n",
+                 id="graphing-weight"),
+    pytest.param(["graphing", "mtp", "--file", "{cfg}"], "weights 1 1\nm: 0->1 0->0\n",
+                 id="graphing-duplicate-source"),
 ])
 def test_malformed_input_exits_with_validation_code(capsys, tmp_path, argv, config):
     cfg = tmp_path / "exp.cfg"

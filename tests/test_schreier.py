@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import ball_key, brute_force_pair_components
+from helpers import ball_key, brute_force_pair_components, reference_ball
 from cospectral.errors import BallCapExceeded, ValidationError, WindowExceeded
 from cospectral.irs import (
     PermutationStabilizerOracle,
@@ -11,6 +11,7 @@ from cospectral.irs import (
 )
 from cospectral.schreier import (
     ball_to_dot,
+    reroot,
     conjugate_oracle,
     count_reduced_returns,
     enumerate_double_cosets,
@@ -215,6 +216,58 @@ def test_ball_cap_error_carries_attained_radius():
     with pytest.raises(BallCapExceeded) as err:
         generate_ball(trivial_subgroup_oracle(2), 8, vertex_cap=50)
     assert 0 <= err.value.attained_radius < 8
+
+
+@pytest.mark.parametrize("oracle", [
+    trivial_subgroup_oracle(2),
+    kernel_to_Z_oracle(2, (1, 0)),
+    StallingsOracle(build_automaton("ab,ba", 2)),
+], ids=["tree", "zkernel", "stallings"])
+def test_attained_radius_fits_and_the_next_overflows(oracle):
+    for cap in range(1, 61):
+        with pytest.raises(BallCapExceeded) as err:
+            generate_ball(oracle, 40, vertex_cap=cap)
+        attained = err.value.attained_radius
+        if attained >= 0:
+            ball = generate_ball(oracle, attained, vertex_cap=cap)
+            assert ball.n_vertices + ball.n_outer <= cap
+        with pytest.raises(BallCapExceeded):
+            generate_ball(oracle, attained + 1, vertex_cap=cap)
+
+
+def test_ball_matches_reference_bfs():
+    zkernel = kernel_to_Z_oracle(2, (1, -2))
+    oracles = [
+        trivial_subgroup_oracle(2),
+        whole_group_oracle(3),
+        zkernel,
+        PermutationStabilizerOracle(9, 2, 4),
+        wreath_percolation_oracle(sample_bernoulli_percolation(0.5, 12, 2)),
+        StallingsOracle(build_automaton("aa,b,abA", 2)),
+        StallingsOracle(build_automaton("ab,ba", 2)),
+        product_oracle(zkernel, PermutationStabilizerOracle(5, 2, 1)),
+        reroot(zkernel, 3),
+    ]
+    for oracle in oracles:
+        for radius in range(6):
+            ball = generate_ball(oracle, radius)
+            ref = reference_ball(oracle, radius)
+            assert ball.ids == ref.ids
+            assert ball.outer_ids == ref.outer_ids
+            assert np.array_equal(ball.dist, ref.dist)
+            assert np.array_equal(ball.dist_full, ref.dist_full)
+            assert np.array_equal(ball.nbr, ref.nbr)
+            assert {c: ball.index[c] for c in ball.ids} == ref.index
+            assert [ball.word_to(i) for i in range(ball.n_vertices)] == ref.words
+
+
+def test_indices_of_rejects_rim_ids():
+    ball = generate_ball(trivial_subgroup_oracle(2), 1)
+    rim_id = ball.outer_ids[0]
+    assert ball.index[rim_id] == ball.n_vertices
+    with pytest.raises(ValidationError):
+        ball.indices_of([rim_id])
+    assert list(ball.indices_of([ball.ids[3]])) == [3]
 
 
 def test_negative_radius_rejected():

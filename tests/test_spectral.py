@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import dense_dirichlet
+from cospectral import spectral
 from cospectral.errors import ValidationError
 from cospectral.irs import (
     kernel_to_Z_oracle,
@@ -238,6 +239,24 @@ def test_return_probability_state_cap_flags_truncated():
     est = return_probability_bound(trivial_subgroup_oracle(2), 4, state_cap=1)
     assert est.value == 0.0
     assert est.truncated
+
+
+def test_return_probability_cap_rebuilds_once(monkeypatch):
+    calls = []
+
+    def counting(oracle, radius, vertex_cap):
+        calls.append(radius)
+        return generate_ball(oracle, radius, vertex_cap=vertex_cap)
+
+    monkeypatch.setattr(spectral, "generate_ball", counting)
+    tree = trivial_subgroup_oracle(2)
+    est = return_probability_bound(tree, 4, truncation_radius=8, state_cap=10)
+    assert (est.radius, est.value, est.truncated) == (0, 0.0, True)
+    assert calls == [4, 0]
+    calls.clear()
+    est = return_probability_bound(tree, 6, state_cap=200)
+    assert (est.radius, est.truncated) == (3, True)
+    assert calls == [6, 3]
 
 
 def test_non_convergence_flagged():
