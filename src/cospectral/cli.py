@@ -16,6 +16,7 @@ from .errors import ResourceCapError, ValidationError
 from .experiments import (
     ExperimentConfig,
     EXPERIMENTS,
+    _write_text,
     export,
     load_config,
     parse_int_set,
@@ -39,7 +40,7 @@ from .irs import (
     sample_bernoulli_percolation,
     sample_to_json,
 )
-from .schreier import ball_to_dot, folner_search, generate_ball
+from .schreier import DEFAULT_VERTEX_CAP, ball_to_dot, folner_search, generate_ball
 from .spectral import dirichlet_lower_bound, return_probability_bound
 from .stallings import (
     automaton_to_dot,
@@ -51,18 +52,10 @@ from .stallings import (
 )
 
 
-def _write(path: str, text: str) -> None:
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise ValidationError(f"cannot write {path}: {exc}") from exc
-
-
 def _emit(payload: dict, out: str | None) -> None:
     text = json.dumps(payload, indent=2) + "\n"
     if out:
-        _write(out, text)
+        _write_text(out, text)
     else:
         sys.stdout.write(text)
 
@@ -71,7 +64,7 @@ def _cmd_ball(args) -> int:
     oracle = parse_oracle_spec(args.oracle, seed=args.seed)
     ball = generate_ball(oracle, args.radius, vertex_cap=args.cap)
     if args.dot:
-        _write(args.dot, ball_to_dot(ball))
+        _write_text(args.dot, ball_to_dot(ball))
     _emit(ball.summary(), args.out)
     return 0
 
@@ -99,7 +92,7 @@ def _cmd_intersect(args) -> int:
     a2 = build_automaton(_gens(args.gens2), args.d)
     inter = intersect_automata(a1, a2)
     if args.dot:
-        _write(args.dot, automaton_to_dot(inter))
+        _write_text(args.dot, automaton_to_dot(inter))
     index = subgroup_index(inter)
     _emit(
         {
@@ -227,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--oracle", required=True, help="oracle spec, e.g. zkernel:weights=1|0")
     p.add_argument("--radius", type=int, required=True)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--cap", type=int, default=5_000_000)
+    p.add_argument("--cap", type=int, default=DEFAULT_VERTEX_CAP)
     p.add_argument("--out", default=None)
     p.add_argument("--dot", default=None, help="also write a DOT rendering here")
     p.set_defaults(fn=_cmd_ball)
@@ -238,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--radius", type=int, default=10)
     p.add_argument("--steps", type=int, default=4, help="n for the 2n-step return bound")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--cap", type=int, default=5_000_000)
+    p.add_argument("--cap", type=int, default=DEFAULT_VERTEX_CAP)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=_cmd_spectral)
 
@@ -294,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--radius", type=int, required=True)
     q.add_argument("--x2", required=True, help="graphing text file for the factor system")
     q.add_argument("--seed", type=int, default=None)
-    q.add_argument("--cap", type=int, default=5_000_000)
+    q.add_argument("--cap", type=int, default=DEFAULT_VERTEX_CAP)
     q.add_argument("--out", default=None)
     q.set_defaults(fn=_cmd_graphing)
 

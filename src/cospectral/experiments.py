@@ -29,6 +29,7 @@ from .irs import (
     permutation_stabilizer_oracle,
 )
 from .schreier import (
+    DEFAULT_VERTEX_CAP,
     SubgroupOracle,
     StallingsOracle,
     _reduced_return_paths,
@@ -73,7 +74,7 @@ class ExperimentConfig:
     oracle2: str = "perm:n=50"
     gap_tol: float = 0.1
     component_cap: int = 10_000
-    vertex_cap: int = 5_000_000
+    vertex_cap: int = DEFAULT_VERTEX_CAP
     # wreath counterexample
     window: int = 40
     set_a: str = "0..9"
@@ -554,6 +555,11 @@ def export(report: dict, fmt: str, path: str) -> None:
             raise ValidationError("report carries no DOT payload")
     else:
         raise ValidationError(f"unknown export format {fmt!r}")
+    _write_text(path, text)
+
+
+def _write_text(path: str, text: str) -> None:
+    """Write text to a file; an unwritable path is a ValidationError."""
     try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)

@@ -461,7 +461,8 @@ def product_test_function(
 ) -> tuple[TestFunction, ProductTestReport]:
     """Build f = 1_F x f2 on the product graphing and verify its energy bound.
 
-    The factor system's maps must align with the ball's letters (2d maps in
+    F is a set of ball indices of ``x1_ball`` (map ids through
+    ``x1_ball.index``).  The factor system's maps must align with the ball's letters (2d maps in
     slot order, inverse-closed accordingly).  The report carries
     lambda2' = 1 - <(I-M)f2, f2>/|f2|^2, the exact product energy
     <(I-M)f, f>, the bound (1 - lambda2' + |S| eps1) |f|^2 with eps1 the

@@ -11,7 +11,7 @@ and Folner defects are exact even at the rim.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -222,25 +222,21 @@ class SchreierBall:
         return self.ids[index] if index < n else self.outer_ids[index - n]
 
     def indices_of(self, vertices: Iterable) -> np.ndarray:
-        """Normalize a vertex collection (ids or indices) to sorted indices."""
+        """Sorted ball indices of a vertex set given as ball indices: Python
+        or numpy integers in [0, n).  Map coset ids through ``index``."""
         n = self.n_vertices
-        out = []
+        out = set()
         for v in vertices:
-            if isinstance(v, (int, np.integer)):
-                if not 0 <= v < n:
-                    raise ValidationError(f"vertex index {v} outside the ball")
-                out.append(int(v))
-            else:
-                j = self.index.get(v, n)
-                if j >= n:
-                    raise ValidationError(f"vertex {v!r} is not in the ball")
-                out.append(j)
-        return np.array(sorted(set(out)), dtype=np.int64)
+            if not isinstance(v, (int, np.integer)) or not 0 <= v < n:
+                raise ValidationError(f"{v!r} is not a ball index in [0, {n})")
+            out.add(int(v))
+        return np.array(sorted(out), dtype=np.int64)
 
     def word_to(self, index: int) -> Word:
         """A shortest word moving the root to the given ball vertex: the BFS
         tree path.  A vertex's BFS parent is its least-indexed neighbor one
         step closer, reached along that parent's first slot into it."""
+        index = int(self.indices_of([index])[0])
         letters = letters_of_rank(self.oracle.d)
         dist = self.dist_full
         path = []
@@ -335,7 +331,8 @@ class ComponentSet:
 
 
 def interior_boundary(ball: SchreierBall, subset: Iterable) -> ComponentSet:
-    """Exact interior and outer boundary of a subset of ball vertices."""
+    """Exact interior and outer boundary of a set of ball indices (map ids
+    through ``ball.index``); the boundary may hold rim indices."""
     p_idx = ball.indices_of(subset)
     n = ball.n_vertices
     mask = np.zeros(n + ball.n_outer, dtype=bool)
@@ -348,19 +345,34 @@ def interior_boundary(ball: SchreierBall, subset: Iterable) -> ComponentSet:
     return ComponentSet(ball, p_idx, interior, boundary.astype(np.int64), truncated)
 
 
+def _prefix_counts(ball: SchreierBall, order: np.ndarray) -> np.ndarray:
+    """|F_k S symmetric-difference F_k| for every prefix F_k = order[:k].
+
+    A vertex t of the ball or its rim joins F at step ``enter[t]`` and FS
+    at step ``reach[t]``, the first prefix whose rows hold it (m + 1 if
+    never).  It lies in exactly one of them at the steps k with
+    min <= k < max of the two, so the counts are one cumulative sum.
+    Entry k - 1 of the result is the count of F_k, for k = 1..m.
+    """
+    m = len(order)
+    size = ball.n_vertices + ball.n_outer
+    enter = np.full(size, m + 1, dtype=np.int64)
+    enter[order] = np.arange(1, m + 1)
+    targets, first = np.unique(ball.nbr[order].ravel(), return_index=True)
+    reach = np.full(size, m + 1, dtype=np.int64)
+    reach[targets] = first // ball.nbr.shape[1] + 1
+    starts = np.bincount(np.minimum(enter, reach), minlength=m + 2)
+    stops = np.bincount(np.maximum(enter, reach), minlength=m + 2)
+    return np.cumsum(starts - stops)[1 : m + 1]
+
+
 def folner_defect(ball: SchreierBall, subset: Iterable) -> float:
-    """|FS symmetric-difference F| / |F| for F a set of ball vertices."""
+    """|FS symmetric-difference F| / |F| for F a set of ball indices (map
+    ids through ``ball.index``); FS may reach the rim."""
     p_idx = ball.indices_of(subset)
     if len(p_idx) == 0:
         raise ValidationError("Folner defect of the empty set is undefined")
-    n = ball.n_vertices
-    mask = np.zeros(n + ball.n_outer, dtype=bool)
-    mask[p_idx] = True
-    fs_mask = np.zeros_like(mask)
-    fs_mask[ball.nbr[p_idx].ravel()] = True
-    fs_not_f = int((fs_mask & ~mask).sum())
-    f_not_fs = int((mask & ~fs_mask).sum())
-    return (fs_not_f + f_not_fs) / len(p_idx)
+    return int(_prefix_counts(ball, p_idx)[-1]) / len(p_idx)
 
 
 def folner_defect_ids(oracle: SubgroupOracle, cosets: Iterable) -> float:
@@ -375,38 +387,11 @@ def folner_defect_ids(oracle: SubgroupOracle, cosets: Iterable) -> float:
     return (len(image - fset) + len(fset - image)) / len(fset)
 
 
-def _sweep(ball: SchreierBall, order: Sequence[int]):
-    """Best prefix of ``order`` by exact Folner defect; returns (defect, k)."""
-    n = ball.n_vertices
-    nbr_f = np.zeros(n + ball.n_outer, dtype=np.int64)
-    in_f = np.zeros(n + ball.n_outer, dtype=bool)
-    rows = ball.nbr
-    fs_not_f = 0
-    f_no_nbr = 0
-    best = (np.inf, 0)
-    for k, x in enumerate(order, start=1):
-        x = int(x)
-        in_f[x] = True
-        if nbr_f[x] >= 1:
-            fs_not_f -= 1
-        else:
-            f_no_nbr += 1
-        for t in rows[x]:
-            nbr_f[t] += 1
-            if nbr_f[t] == 1:
-                if in_f[t]:
-                    f_no_nbr -= 1
-                else:
-                    fs_not_f += 1
-        defect = (fs_not_f + f_no_nbr) / k
-        if defect < best[0] - 1e-15:
-            best = (defect, k)
-    return best
-
-
 def folner_search(ball: SchreierBall) -> tuple[ComponentSet, float]:
-    """Search for a low-defect set: sweep cuts over the top Dirichlet
-    eigenvector plus distance-ball prefixes; the reported defect is exact."""
+    """Search for a low-defect set of ball indices: the best prefix of the
+    top Dirichlet eigenvector's sweep order or of the BFS order (whose
+    prefixes include every B(r)).  The reported defect is exact; the
+    component's ids map back through ``ball.ids``."""
     if ball.n_vertices == 0:
         raise ValidationError("cannot search an empty ball")
     orders: list[np.ndarray] = []
@@ -417,17 +402,17 @@ def folner_search(ball: SchreierBall) -> tuple[ComponentSet, float]:
         eig_order = rows[np.argsort(-vector, kind="stable")]
         rest = np.setdiff1d(np.arange(ball.n_vertices), rows, assume_unique=False)
         orders.append(np.concatenate([eig_order, rest]))
-    orders.append(np.arange(ball.n_vertices))  # BFS order: prefixes include B(r)
+    orders.append(np.arange(ball.n_vertices))
 
-    best_defect, best_order, best_k = np.inf, None, 0
+    best_defect, best_subset = np.inf, None
     for order in orders:
-        defect, k = _sweep(ball, order)
-        if defect < best_defect - 1e-15:
-            best_defect, best_order, best_k = defect, order, k
-    chosen = [int(v) for v in best_order[:best_k]]
-    component = interior_boundary(ball, chosen)
-    exact = folner_defect(ball, chosen)
-    return component, exact
+        # distinct defects c/k with k <= n < 3e7 differ by over 1e-15, so
+        # the first argmin is the first prefix beating all earlier ones
+        defects = _prefix_counts(ball, order) / np.arange(1, len(order) + 1)
+        k = int(np.argmin(defects))
+        if defects[k] < best_defect - 1e-15:
+            best_defect, best_subset = float(defects[k]), order[: k + 1]
+    return interior_boundary(ball, best_subset), best_defect
 
 
 @dataclass

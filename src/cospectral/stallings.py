@@ -153,9 +153,6 @@ class StallingsAutomaton:
             state = nxt
         return state
 
-    def degree(self, state: int) -> int:
-        return sum(1 for t in self.table[state] if t is not None)
-
     def is_complete(self) -> bool:
         return all(t is not None for row in self.table for t in row)
 

@@ -254,6 +254,45 @@ def reference_ball(oracle, radius):
     )
 
 
+def reference_prefix_counts(ball, order):
+    """|F_k S symmetric-difference F_k| for each prefix F_k of ``order`` by
+    a per-vertex incremental loop (oracle): neighbor counts into F, plus
+    running sizes of FS minus F and of F minus FS."""
+    size = ball.n_vertices + ball.n_outer
+    nbr_f = np.zeros(size, dtype=np.int64)
+    in_f = np.zeros(size, dtype=bool)
+    fs_not_f = 0
+    f_no_nbr = 0
+    counts = []
+    for x in order:
+        x = int(x)
+        in_f[x] = True
+        if nbr_f[x] >= 1:
+            fs_not_f -= 1
+        else:
+            f_no_nbr += 1
+        for t in ball.nbr[x]:
+            nbr_f[t] += 1
+            if nbr_f[t] == 1:
+                if in_f[t]:
+                    f_no_nbr -= 1
+                else:
+                    fs_not_f += 1
+        counts.append(fs_not_f + f_no_nbr)
+    return counts
+
+
+def reference_sweep(ball, order):
+    """Best prefix of ``order`` by exact Folner defect, kept as the
+    incremental loop with a tolerant comparison; returns (defect, k)."""
+    best = (np.inf, 0)
+    for k, count in enumerate(reference_prefix_counts(ball, order), start=1):
+        defect = count / k
+        if defect < best[0] - 1e-15:
+            best = (defect, k)
+    return best
+
+
 def ball_key(ball):
     """Canonical key of a rooted labeled ball: BFS indices are canonical, so
     the neighbor table itself is a labeled-isomorphism invariant."""

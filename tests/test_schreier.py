@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from helpers import ball_key, brute_force_pair_components, reference_ball
+from helpers import (
+    ball_key,
+    brute_force_pair_components,
+    reference_ball,
+    reference_prefix_counts,
+    reference_sweep,
+)
 from cospectral.errors import BallCapExceeded, ValidationError, WindowExceeded
 from cospectral.irs import (
     PermutationStabilizerOracle,
@@ -19,11 +25,13 @@ from cospectral.schreier import (
     folner_defect_ids,
     folner_search,
     generate_ball,
+    _prefix_counts,
     interior_boundary,
     product_oracle,
     trivial_subgroup_oracle,
     whole_group_oracle,
 )
+from cospectral.spectral import dirichlet_vector
 from cospectral.stallings import build_automaton, inverse_slot
 from cospectral.schreier import StallingsOracle
 from cospectral.words import letters_of_rank, parse_word
@@ -212,6 +220,52 @@ def test_folner_defect_ids_matches_ball_version():
     assert via_ball == via_oracle == pytest.approx(2 / 5)
 
 
+def _folner_oracles():
+    zkernel = kernel_to_Z_oracle(2, (1, -2))
+    return [
+        trivial_subgroup_oracle(2),
+        whole_group_oracle(2),
+        zkernel,
+        PermutationStabilizerOracle(9, 2, 4),
+        wreath_percolation_oracle(sample_bernoulli_percolation(0.5, 12, 2)),
+        StallingsOracle(build_automaton("aa,b,abA", 2)),
+        product_oracle(zkernel, PermutationStabilizerOracle(5, 2, 1)),
+        reroot(zkernel, 3),
+    ]
+
+
+def test_folner_kernel_matches_reference_loop():
+    rng = np.random.default_rng(7)
+    for oracle in _folner_oracles():
+        for radius in range(1, 6):
+            ball = generate_ball(oracle, radius)
+            n = ball.n_vertices
+            # the two sweep orders of folner_search, scored by the loop
+            _, vector, rows = dirichlet_vector(ball)
+            eig_order = np.concatenate([
+                rows[np.argsort(-vector, kind="stable")],
+                np.setdiff1d(np.arange(n), rows),
+            ])
+            best = (np.inf, None)
+            for order in (eig_order, np.arange(n)):
+                defect, k = reference_sweep(ball, order)
+                if defect < best[0] - 1e-15:
+                    best = (defect, sorted(int(v) for v in order[:k]))
+            component, defect = folner_search(ball)
+            assert (defect, component.subset.tolist()) == best
+
+            edge = np.nonzero(ball.dist == ball.dist.max())[0]
+            for _ in range(4):
+                size = int(rng.integers(1, n + 1))
+                subset = set(rng.choice(n, size=size, replace=False).tolist())
+                subset.add(int(rng.choice(edge)))  # FS reaches the rim, if any
+                ids = [ball.ids[i] for i in subset]
+                assert folner_defect(ball, subset) == folner_defect_ids(oracle, ids)
+
+            order = rng.permutation(n)
+            assert _prefix_counts(ball, order).tolist() == reference_prefix_counts(ball, order)
+
+
 def test_ball_cap_error_carries_attained_radius():
     with pytest.raises(BallCapExceeded) as err:
         generate_ball(trivial_subgroup_oracle(2), 8, vertex_cap=50)
@@ -267,7 +321,23 @@ def test_indices_of_rejects_rim_ids():
     assert ball.index[rim_id] == ball.n_vertices
     with pytest.raises(ValidationError):
         ball.indices_of([rim_id])
-    assert list(ball.indices_of([ball.ids[3]])) == [3]
+    assert list(ball.indices_of([3])) == [3]
+
+
+def test_indices_of_takes_ball_indices_only():
+    ball = generate_ball(kernel_to_Z_oracle(1, (1,)), 3)
+    n = ball.n_vertices
+    assert ball.ids[2] == -1
+    assert interior_boundary(ball, [2]).subset_ids() == [-1]
+    assert interior_boundary(ball, [ball.index[-2]]).subset_ids() == [-2]
+    assert ball.indices_of([np.int64(2), np.int32(0), 2]).tolist() == [0, 2]
+    for bad in (b"x", (0, 0), -1, n, np.int64(n)):
+        with pytest.raises(ValidationError):
+            ball.indices_of([bad])
+    assert ball.word_to(np.int64(2)) == ball.word_to(2)
+    for bad in (-1, n):
+        with pytest.raises(ValidationError):
+            ball.word_to(bad)
 
 
 def test_negative_radius_rejected():
