@@ -1,0 +1,154 @@
+#!/usr/bin/env python3
+"""Paired end-to-end benchmark of two source trees.
+
+Usage (from the repository root):
+
+    python3 scripts/bench_pairs.py PARENT_TREE CHANGE_TREE --out BENCH_<n>.json \\
+        [--pairs 10] [--seed 0] [--workload NAME ...]
+
+Each tree is a checkout of this repository.  For every pair and workload the
+script runs ``perfbench/run.py --trace 0`` once in each tree, one after the
+other, for the ``run_seconds`` that ``BENCHMARK.json`` sets.  The tree that
+goes first alternates from pair to pair, so a drift in the host's speed falls
+on both sides alike.  The JSON written to ``--out`` holds every run and, per
+workload and end-to-end metric, each side's median and quartiles, the
+relative change of the medians, and the number of pairs the change won, with
+the CPU count, the Python and numpy versions, and what pins each tree's code
+(see ``revision``).
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+
+SIDES = ("parent", "change")
+
+
+def git(tree: Path, *args: str) -> str | None:
+    try:
+        out = subprocess.run(["git", "-C", str(tree), *args],
+                             capture_output=True, check=True)
+    except (OSError, subprocess.CalledProcessError):
+        return None
+    return out.stdout.decode("utf-8", "replace").strip()
+
+
+def revision(tree: Path) -> dict:
+    """What pins the tree's code: its commit, the git tree id of its ``src``
+    at that commit, and, when it has local edits (``-dirty``), the SHA-256 of
+    ``git diff HEAD --binary``; untracked files are listed by name."""
+    commit = git(tree, "describe", "--always", "--dirty")
+    out = {"commit": commit, "src_tree": git(tree, "rev-parse", "HEAD:src")}
+    if commit and commit.endswith("-dirty"):
+        diff = subprocess.run(["git", "-C", str(tree), "diff", "HEAD", "--binary"],
+                              capture_output=True, check=True).stdout
+        out["diff_sha256"] = hashlib.sha256(diff).hexdigest()
+        out["untracked"] = (git(tree, "ls-files", "--others", "--exclude-standard")
+                            or "").splitlines()
+    return out
+
+
+def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One ``perfbench/run.py`` process; its result line, or the error."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        return {"error": f"exit {proc.returncode}: {proc.stderr.strip()[-500:]}"}
+    result = json.loads(lines[-1])
+    result["metrics"] = {k: v["value"] for k, v in result["metrics"].items()}
+    return result
+
+
+def spread(values: list[float]) -> dict:
+    if len(values) < 2:
+        q1 = median = q3 = values[0] if values else None
+    else:
+        q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3}
+
+
+def summarize(runs: list[dict], metrics: list[dict]) -> dict:
+    """Per metric: each side's spread, the median change and the pair wins."""
+    pairs = {}
+    for run in runs:
+        if "metrics" in run:
+            pairs.setdefault(run["pair"], {})[run["side"]] = run["metrics"]
+    complete = [p for p in pairs.values() if len(p) == 2]
+    out = {}
+    for metric in metrics:
+        name, lower = metric["name"], metric.get("better", "lower") == "lower"
+        sides = {side: spread([p[side][name] for p in complete]) for side in SIDES}
+        parent, change = sides["parent"]["median"], sides["change"]["median"]
+        wins = sum(p["change"][name] < p["parent"][name] if lower
+                   else p["change"][name] > p["parent"][name] for p in complete)
+        out[name] = {
+            **sides,
+            "change_rel": (change - parent) / parent if parent else None,
+            "parent_iqr": (sides["parent"]["q3"] - sides["parent"]["q1"]) if complete else None,
+            "change_wins": wins,
+            "pairs": len(complete),
+        }
+    return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent", type=Path, help="source tree to compare against")
+    parser.add_argument("change", type=Path, help="source tree with the change")
+    parser.add_argument("--out", type=Path, required=True)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--workload", action="append", default=None,
+                        help="workload to run (repeatable; default: every workload)")
+    args = parser.parse_args(argv)
+    trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    for tree in trees.values():
+        if not (tree / "perfbench" / "run.py").is_file():
+            parser.error(f"{tree} has no perfbench/run.py")
+    spec = json.loads((trees["change"] / "BENCHMARK.json").read_text(encoding="utf-8"))
+    workloads = args.workload or [w["name"] for w in spec["workloads"]]
+    seconds = spec["run_seconds"]
+
+    runs: dict[str, list] = {w: [] for w in workloads}
+    for pair in range(args.pairs):
+        order = SIDES if pair % 2 == 0 else SIDES[::-1]
+        for workload in workloads:
+            for side in order:
+                result = run_once(trees[side], workload, args.seed, seconds)
+                runs[workload].append({"pair": pair, "side": side, **result})
+                shown = result.get("metrics", {}).get("wall_s", result.get("error"))
+                print(f"pair {pair} {workload} {side}: {shown}", file=sys.stderr)
+
+    report = {
+        "environment": {
+            "cpu_count": os.cpu_count(),
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "machine": platform.machine(),
+        },
+        "revisions": {side: revision(tree) for side, tree in trees.items()},
+        "settings": {"pairs": args.pairs, "run_seconds": seconds, "seed": args.seed,
+                     "trace": 0},
+        "workloads": {
+            w: {"metrics": summarize(runs[w], spec["end_to_end"]), "runs": runs[w]}
+            for w in workloads
+        },
+    }
+    args.out.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -13,7 +13,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ValidationError, WindowExceeded
-from .schreier import SubgroupOracle, generate_ball
+from .schreier import CODE_LIMIT, CosetCoder, SubgroupOracle, generate_ball
 from .words import Word, WreathElement, wreath_from_word
 
 __all__ = [
@@ -194,6 +194,11 @@ class PermutationStabilizerOracle(SubgroupOracle):
         table = self.perms[i] if letter > 0 else self.inverse_perms[i]
         return int(table[point])
 
+    def coder(self, root: int, radius: int) -> CosetCoder:
+        """Codes are the points, stepped through one (n_points, 2d) table."""
+        table = np.stack(self.perms + self.inverse_perms, axis=1)
+        return CosetCoder(int(root), self.n_points, lambda codes: table[codes], int)
+
     def orbit_of_root(self) -> list[int]:
         # the orbit has at most n_points points, so radius n_points - 1
         # covers it and leaves no rim
@@ -227,6 +232,16 @@ class ZKernelOracle(SubgroupOracle):
     def act(self, letter: int, coset: int) -> int:
         w = self.weights[abs(letter) - 1]
         return coset + (w if letter > 0 else -w)
+
+    def coder(self, root: int, radius: int) -> CosetCoder | None:
+        """Codes are the offsets, shifted so the radius + 1 window starts at 0."""
+        span = max(abs(w) for w in self.weights) * (radius + 1)
+        if 2 * span + 1 > CODE_LIMIT:
+            return None
+        shift = span - root
+        steps = np.array(self.weights + tuple(-w for w in self.weights), dtype=np.int64)
+        return CosetCoder(span, 2 * span + 1, lambda codes: codes[:, None] + steps,
+                          lambda code: code - shift)
 
     def membership(self, word: Word) -> bool:
         total = 0

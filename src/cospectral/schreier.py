@@ -6,21 +6,30 @@ are exact BFS windows; every ball vertex stores all 2d neighbor slots.  The
 targets one step beyond the radius form the outer rim, which one BFS stores
 after the ball in the same vertex numbering, so that interiors, boundaries
 and Folner defects are exact even at the rim.
+
+Oracles that can number their cosets by int64 codes (Stallings, exponent-sum
+kernels, permutation stabilizers, and products and reroots of these) give a
+``CosetCoder``; their balls are built one BFS layer at a time by numpy over
+the codes, and coset ids are decoded only when first read.  Other oracles
+(wreath percolation, user oracles) go through a per-vertex loop over
+``act``.  Both give the same numbering, rim and cap rule.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from functools import cached_property
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
 from .errors import BallCapExceeded, ValidationError
 from .stallings import StallingsAutomaton, _nonbacktracking, build_automaton, inverse_slot, letter_of_slot, slot_of_letter
-from .words import Word, letters_of_rank
+from .words import WREATH_NAMES, Word, letters_of_rank
 
 __all__ = [
     "SubgroupOracle",
+    "CosetCoder",
     "StallingsOracle",
     "ProductOracle",
     "SchreierBall",
@@ -42,6 +51,22 @@ __all__ = [
 ]
 
 DEFAULT_VERTEX_CAP = 5_000_000
+CODE_LIMIT = 2**63  # coset codes must stay below this to fit int64
+
+
+class CosetCoder(NamedTuple):
+    """Integer codes in [0, size) for the cosets within distance radius + 1
+    of a root.
+
+    ``step(codes)`` maps an int64 array of codes of cosets within distance
+    radius to the (m, 2d) array of their targets in slot order, and
+    ``decode(code)`` turns a Python int code back into the coset id.
+    """
+
+    root: int
+    size: int
+    step: Callable[[np.ndarray], np.ndarray]
+    decode: Callable[[int], object]
 
 
 class SubgroupOracle:
@@ -50,7 +75,9 @@ class SubgroupOracle:
     Subclasses set ``family`` (a tag identifying the ambient group, e.g.
     ("free", d) or ("wreath",)), ``d`` (positive generator count) and
     ``root`` (the coset of the subgroup itself), and implement ``act``.
-    Coset ids are opaque hashables; ``act`` must respect inverses.
+    Coset ids are opaque hashables; ``act`` must respect inverses.  A
+    subclass that can number its cosets by integers may implement ``coder``,
+    which lets ``generate_ball`` build its windows over int64 codes.
     """
 
     family: tuple
@@ -74,6 +101,11 @@ class SubgroupOracle:
     def describe(self, coset) -> str:
         return str(coset)
 
+    def coder(self, root, radius: int) -> CosetCoder | None:
+        """Codes for the cosets within distance radius + 1 of ``root``, or
+        None when the family has none or they would not fit int64."""
+        return None
+
 
 class StallingsOracle(SubgroupOracle):
     """Coset action of a f.g. subgroup of F_d read off its core automaton.
@@ -81,7 +113,9 @@ class StallingsOracle(SubgroupOracle):
     A coset is canonically (automaton state, reduced hanging tail): trace as
     far as the automaton allows, the rest of the word hangs off as a path
     into the complement trees.  Ids are packed as bytes (4-byte state plus
-    one byte per tail slot) for compact hashing.
+    one byte per tail slot) for compact hashing.  Codes are
+    ``T * n_states + state`` with the tail T read in bijective base 2d, so
+    appending slot s gives T * 2d + s + 1 and popping gives (T - 1) // 2d.
     """
 
     def __init__(self, automaton: StallingsAutomaton):
@@ -111,6 +145,44 @@ class StallingsOracle(SubgroupOracle):
         state = int.from_bytes(coset[:4], "little")
         tail = "".join(_slot_char(b, self.d) for b in coset[4:])
         return f"q{state}" + (f".{tail}" if tail else "")
+
+    def coder(self, root: bytes, radius: int) -> CosetCoder | None:
+        d, n = self.d, self.automaton.n_states
+        width = 2 * d
+        longest = len(root) - 4 + radius + 1
+        size = (width * (width**longest - 1) // (width - 1) + 1) * n
+        if size > CODE_LIMIT:
+            return None
+        table = np.array(
+            [[-1 if t is None else t for t in row] for row in self.automaton.table],
+            dtype=np.int64,
+        )
+        grow = (np.arange(width) + 1) * n
+        inverse = (np.arange(width) + d) % width
+
+        def step(codes: np.ndarray) -> np.ndarray:
+            tails, states = np.divmod(codes, n)
+            out = ((codes - states) * width + states)[:, None] + grow  # tail + slot
+            core = np.flatnonzero(tails == 0)
+            traced = table[states[core]]
+            out[core] = np.where(traced >= 0, traced, out[core])
+            hanging = np.flatnonzero(tails)
+            popped, last = np.divmod(tails[hanging] - 1, width)
+            out[hanging, inverse[last]] = popped * n + states[hanging]
+            return out
+
+        def decode(code: int) -> bytes:
+            tail, state = divmod(code, n)
+            slots_back = []
+            while tail:
+                tail, slot = divmod(tail - 1, width)
+                slots_back.append(slot)
+            return state.to_bytes(4, "little") + bytes(reversed(slots_back))
+
+        tail = 0
+        for slot in root[4:]:
+            tail = tail * width + slot + 1
+        return CosetCoder(tail * n + int.from_bytes(root[:4], "little"), size, step, decode)
 
 
 def _slot_char(slot: int, d: int) -> str:
@@ -151,6 +223,24 @@ class ProductOracle(SubgroupOracle):
     def describe(self, coset) -> str:
         return f"({self.o1.describe(coset[0])}, {self.o2.describe(coset[1])})"
 
+    def coder(self, root, radius: int) -> CosetCoder | None:
+        """The two factor codes packed into one: code1 * size2 + code2."""
+        c1 = self.o1.coder(root[0], radius)
+        c2 = self.o2.coder(root[1], radius)
+        if c1 is None or c2 is None or c1.size * c2.size > CODE_LIMIT:
+            return None
+        size2 = c2.size
+
+        def step(codes: np.ndarray) -> np.ndarray:
+            first, second = np.divmod(codes, size2)
+            return c1.step(first) * size2 + c2.step(second)
+
+        def decode(code: int) -> tuple:
+            first, second = divmod(code, size2)
+            return (c1.decode(first), c2.decode(second))
+
+        return CosetCoder(c1.root * size2 + c2.root, c1.size * size2, step, decode)
+
 
 def product_oracle(o1: SubgroupOracle, o2: SubgroupOracle) -> ProductOracle:
     return ProductOracle(o1, o2)
@@ -171,6 +261,9 @@ class RerootedOracle(SubgroupOracle):
 
     def describe(self, coset) -> str:
         return self._base.describe(coset)
+
+    def coder(self, root, radius: int) -> CosetCoder | None:
+        return self._base.coder(root, radius)
 
 
 def reroot(oracle: SubgroupOracle, new_root) -> RerootedOracle:
@@ -193,33 +286,48 @@ class SchreierBall:
     One BFS numbers every vertex it stores: the ball vertices 0..n-1 first
     (sorted by distance, index 0 is the root), then the rim, the vertices
     one step beyond the radius, in discovery order.  Rim indices appear
-    only as ``nbr`` targets; their own neighbors are unknown.  ``index``
-    maps every stored id, rim included, to its index, and ``dist_full``
+    only as ``nbr`` targets; their own neighbors are unknown.  ``dist_full``
     holds the distances of all of them (``dist`` is its ball prefix).
+    ``ids``, ``outer_ids`` and ``index`` (every stored id, rim included, to
+    its index) come from ``stored_ids``, a function listing the ids of all
+    stored vertices in index order; it runs on first access, since the
+    spectral and path-count code reads only the tables.
     """
 
-    def __init__(self, oracle, radius, ids, index, dist_full, nbr):
-        n = len(nbr)
+    def __init__(self, oracle, radius, dist_full, nbr, stored_ids: Callable[[], list]):
         self.oracle = oracle
         self.radius = radius
-        self.ids = ids[:n]
-        self.outer_ids = ids[n:]
-        self.index = index
         self.dist_full = np.asarray(dist_full, dtype=np.int32)
-        self.dist = self.dist_full[:n]
+        self.dist = self.dist_full[: len(nbr)]
         self.nbr = nbr
+        self._stored_ids = stored_ids
+
+    @cached_property
+    def _all_ids(self) -> list:
+        return self._stored_ids()
+
+    @cached_property
+    def ids(self) -> list:
+        return self._all_ids[: self.n_vertices]
+
+    @cached_property
+    def outer_ids(self) -> list:
+        return self._all_ids[self.n_vertices :]
+
+    @cached_property
+    def index(self) -> dict:
+        return {c: i for i, c in enumerate(self._all_ids)}
 
     @property
     def n_vertices(self) -> int:
-        return len(self.ids)
+        return len(self.nbr)
 
     @property
     def n_outer(self) -> int:
-        return len(self.outer_ids)
+        return len(self.dist_full) - len(self.nbr)
 
     def id_of(self, index: int):
-        n = self.n_vertices
-        return self.ids[index] if index < n else self.outer_ids[index - n]
+        return self._all_ids[index]
 
     def indices_of(self, vertices: Iterable) -> np.ndarray:
         """Sorted ball indices of a vertex set given as ball indices: Python
@@ -266,10 +374,15 @@ def generate_ball(
     Rim vertices are stored after the ball in the same BFS order and never
     expanded.  Raises BallCapExceeded if the ball plus its rim would exceed
     ``vertex_cap`` vertices; its ``attained_radius`` is the largest radius
-    whose ball and rim fit.
+    whose ball and rim fit.  Oracles with a ``coder`` for this radius are
+    expanded a layer at a time over int64 codes and decode their ids on
+    first access; the others run a per-vertex loop over ``act``.
     """
     if radius < 0:
         raise ValidationError(f"radius must be >= 0, got {radius}")
+    coder = oracle.coder(oracle.root, radius)
+    if coder is not None:
+        return _coded_ball(oracle, radius, vertex_cap, coder)
     letters = letters_of_rank(oracle.d)
     act = oracle.act
     root = oracle.root
@@ -289,11 +402,7 @@ def generate_ball(
             if j is None:
                 j = len(ids)
                 if j >= vertex_cap:
-                    raise BallCapExceeded(
-                        f"vertex cap {vertex_cap} exceeded at distance {step} "
-                        f"(attained radius {step - 2})",
-                        attained_radius=step - 2,
-                    )
+                    raise _cap_exceeded(vertex_cap, step)
                 index[t] = j
                 ids.append(t)
                 dist.append(step)
@@ -301,7 +410,55 @@ def generate_ball(
         i += 1
 
     nbr = np.array(targets, dtype=np.int32).reshape(i, 2 * oracle.d)
-    return SchreierBall(oracle, radius, ids, index, dist, nbr)
+    return SchreierBall(oracle, radius, dist, nbr, lambda: ids)
+
+
+def _cap_exceeded(vertex_cap: int, step: int) -> BallCapExceeded:
+    return BallCapExceeded(
+        f"vertex cap {vertex_cap} exceeded at distance {step} "
+        f"(attained radius {step - 2})",
+        attained_radius=step - 2,
+    )
+
+
+def _coded_ball(oracle, radius: int, vertex_cap: int, coder: CosetCoder) -> SchreierBall:
+    """The BFS of ``generate_ball``, one layer at a time over coset codes.
+
+    A neighbor of layer k lies in layers k-1..k+1, so one ``np.unique`` over
+    the codes of layers k-1 and k followed by layer k's targets finds every
+    target: values first seen among the known codes keep their index, the
+    rest form layer k+1, numbered by first occurrence in the flattened
+    (vertex, slot) order, which is the order the per-vertex loop finds them.
+    """
+    width = 2 * oracle.d
+    layers = [np.array([coder.root], dtype=np.int64)]  # codes in index order
+    rows = []
+    low, start = 0, 1  # layers k-1 and k hold the indices [low, start)
+    for k in range(radius + 1):
+        layer = layers[-1]
+        if not len(layer):
+            break
+        known = np.concatenate(layers[-2:])
+        targets = coder.step(layer).ravel()
+        keys, first, inverse = np.unique(
+            np.concatenate([known, targets]), return_index=True, return_inverse=True
+        )
+        fresh = np.flatnonzero(first >= len(known))
+        fresh = fresh[np.argsort(first[fresh])]  # first-occurrence order
+        if len(fresh) and start + len(fresh) > vertex_cap:
+            raise _cap_exceeded(vertex_cap, k + 1)
+        index = low + first  # a known code's index; fresh ones overwritten
+        index[fresh] = np.arange(start, start + len(fresh))
+        rows.append(index[inverse[len(known) :]].astype(np.int32).reshape(-1, width))
+        layers.append(keys[fresh])
+        low, start = start - len(layer), start + len(fresh)
+
+    codes = np.concatenate(layers)
+    dist = np.repeat(np.arange(len(layers), dtype=np.int32), [len(l) for l in layers])
+    nbr = np.concatenate(rows)
+    return SchreierBall(
+        oracle, radius, dist, nbr, lambda: [coder.decode(c) for c in codes.tolist()]
+    )
 
 
 @dataclass
@@ -310,8 +467,8 @@ class ComponentSet:
 
     interior = {x in P : all S-neighbors of x lie in P};
     outer boundary = SP minus P (may contain outer-rim indices).
-    ``truncated`` flags subsets that touch the ball's rim, where boundary
-    data mixes ball and outer vertices.
+    ``truncated`` flags subsets with a neighbor on the ball's rim, where
+    boundary data mixes ball and outer vertices.
     """
 
     ball: SchreierBall
@@ -341,7 +498,7 @@ def interior_boundary(ball: SchreierBall, subset: Iterable) -> ComponentSet:
     interior = p_idx[mask[rows].all(axis=1)] if len(p_idx) else p_idx
     targets = np.unique(rows) if len(p_idx) else np.array([], dtype=np.int64)
     boundary = targets[~mask[targets]] if len(targets) else targets
-    truncated = bool((ball.dist[p_idx] == ball.radius).any()) if len(p_idx) else False
+    truncated = bool((rows >= n).any())
     return ComponentSet(ball, p_idx, interior, boundary.astype(np.int64), truncated)
 
 
@@ -533,18 +690,21 @@ def count_reduced_returns(
 
 
 def ball_to_dot(ball: SchreierBall, name: str = "ball") -> str:
-    """DOT rendering of the ball's inner edges; the root is doubly circled."""
+    """DOT rendering of the ball's inner edges, labelled by the family's
+    positive letters (s, a, b for the wreath product); the root is doubly
+    circled."""
     n = ball.n_vertices
     lines = [f"digraph {name} {{"]
     for i in range(n):
         shape = "doublecircle" if i == 0 else "circle"
         label = ball.oracle.describe(ball.ids[i])
         lines.append(f'  v{i} [shape={shape}, label="{label}"];')
+    wreath = ball.oracle.family == ("wreath",)
     for i in range(n):
         for s in range(ball.oracle.d):
             t = int(ball.nbr[i, s])
             if t < n:
-                label = chr(ord("a") + s)
+                label = WREATH_NAMES[s] if wreath else chr(ord("a") + s)
                 lines.append(f'  v{i} -> v{t} [label="{label}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -29,6 +29,7 @@ __all__ = [
     "wreath_generator",
     "wreath_from_word",
     "WREATH_LETTERS",
+    "WREATH_NAMES",
 ]
 
 
@@ -161,6 +162,7 @@ def parse_word(s: str) -> Word:
 
 WREATH_D = 3
 WREATH_LETTERS = (1, 2, 3, -1, -2, -3)
+WREATH_NAMES = "sab"  # printed names of the letters 1, 2, 3
 _S_LETTER = 1
 
 

@@ -12,6 +12,7 @@ from cospectral.errors import BallCapExceeded, ValidationError, WindowExceeded
 from cospectral.irs import (
     PermutationStabilizerOracle,
     kernel_to_Z_oracle,
+    percolation_from_sites,
     sample_bernoulli_percolation,
     wreath_percolation_oracle,
 )
@@ -276,7 +277,9 @@ def test_ball_cap_error_carries_attained_radius():
     trivial_subgroup_oracle(2),
     kernel_to_Z_oracle(2, (1, 0)),
     StallingsOracle(build_automaton("ab,ba", 2)),
-], ids=["tree", "zkernel", "stallings"])
+    product_oracle(kernel_to_Z_oracle(2, (1, -2)), PermutationStabilizerOracle(5, 2, 1)),
+    PermutationStabilizerOracle(200, 2, 3),
+], ids=["tree", "zkernel", "stallings", "product", "perm"])
 def test_attained_radius_fits_and_the_next_overflows(oracle):
     for cap in range(1, 61):
         with pytest.raises(BallCapExceeded) as err:
@@ -289,30 +292,73 @@ def test_attained_radius_fits_and_the_next_overflows(oracle):
             generate_ball(oracle, attained + 1, vertex_cap=cap)
 
 
-def test_ball_matches_reference_bfs():
+def _id_types(coset):
+    """The Python type of a coset id, recursing into tuples."""
+    if isinstance(coset, tuple):
+        return (tuple, tuple(_id_types(c) for c in coset))
+    return type(coset)
+
+
+def _reference_cases():
+    """(oracle, radii, coded): oracles with and without int64 coset codes,
+    coded ones in every family and in products and reroots of them."""
     zkernel = kernel_to_Z_oracle(2, (1, -2))
-    oracles = [
-        trivial_subgroup_oracle(2),
-        whole_group_oracle(3),
-        zkernel,
-        PermutationStabilizerOracle(9, 2, 4),
-        wreath_percolation_oracle(sample_bernoulli_percolation(0.5, 12, 2)),
-        StallingsOracle(build_automaton("aa,b,abA", 2)),
-        StallingsOracle(build_automaton("ab,ba", 2)),
-        product_oracle(zkernel, PermutationStabilizerOracle(5, 2, 1)),
-        reroot(zkernel, 3),
+    stallings = StallingsOracle(build_automaton("ab,ba", 2))
+    tail_root = conjugate_oracle(stallings, parse_word("aab"))
+    assert len(tail_root.root) > 4  # a coset in a hanging tree
+    products = [
+        product_oracle(zkernel, stallings),
+        product_oracle(StallingsOracle(build_automaton("a", 2)), kernel_to_Z_oracle(2, (2, 1))),
     ]
-    for oracle in oracles:
-        for radius in range(6):
+    entries = [
+        reroot(prod, entry.entry_pair)
+        for prod in products
+        for entry in enumerate_double_cosets(prod.o1, prod.o2, 3, component_cap=300)
+    ]
+    radii = range(6)
+    return [
+        (trivial_subgroup_oracle(2), radii, True),
+        (whole_group_oracle(3), radii, True),
+        (zkernel, radii, True),
+        (PermutationStabilizerOracle(9, 2, 4), radii, True),
+        (wreath_percolation_oracle(sample_bernoulli_percolation(0.5, 12, 2)), radii, False),
+        (StallingsOracle(build_automaton("aa,b,abA", 2)), radii, True),
+        (stallings, radii, True),
+        (tail_root, radii, True),
+        (product_oracle(zkernel, PermutationStabilizerOracle(5, 2, 1)), radii, True),
+        (reroot(zkernel, 3), radii, True),
+        *[(oracle, radii, True) for oracle in entries],
+        (PermutationStabilizerOracle(5, 1, None, perms=[[1, 2, 3, 4, 0]]), radii, True),
+        (kernel_to_Z_oracle(3, (2, -1, 0)), radii, True),
+        (trivial_subgroup_oracle(1), [69, 70], False),  # 2^71 tails overflow int64
+    ]
+
+
+def test_ball_matches_reference_bfs():
+    for oracle, radii, coded in _reference_cases():
+        for radius in radii:
+            assert (oracle.coder(oracle.root, radius) is not None) == coded
             ball = generate_ball(oracle, radius)
             ref = reference_ball(oracle, radius)
             assert ball.ids == ref.ids
             assert ball.outer_ids == ref.outer_ids
+            assert [_id_types(c) for c in ball.ids + ball.outer_ids] == [
+                _id_types(c) for c in ref.ids + ref.outer_ids
+            ]
             assert np.array_equal(ball.dist, ref.dist)
             assert np.array_equal(ball.dist_full, ref.dist_full)
             assert np.array_equal(ball.nbr, ref.nbr)
             assert {c: ball.index[c] for c in ball.ids} == ref.index
             assert [ball.word_to(i) for i in range(ball.n_vertices)] == ref.words
+
+
+def test_coded_ball_decodes_ids_on_first_access():
+    ball = generate_ball(StallingsOracle(build_automaton("ab,ba", 2)), 6)
+    dirichlet_vector(ball)
+    count_reduced_returns(ball.oracle, 4)
+    assert not {"ids", "outer_ids", "index"} & set(vars(ball))
+    assert ball.index[ball.ids[5]] == 5
+    assert ball.id_of(ball.n_vertices) == ball.outer_ids[0]
 
 
 def test_indices_of_rejects_rim_ids():
@@ -382,6 +428,32 @@ def test_ball_dot_node_lines():
     ball = generate_ball(trivial_subgroup_oracle(2), 2)
     dot = ball_to_dot(ball)
     assert dot.count("[shape=") == 17
+
+
+def test_ball_dot_labels_wreath_edges_by_letter_name():
+    oracle = wreath_percolation_oracle(percolation_from_sites([], 5))
+    ball = generate_ball(oracle, 1)
+    dot = ball_to_dot(ball)
+    shift, lamp = ball.nbr[0, 0], ball.nbr[0, 1]
+    assert oracle.describe(ball.ids[shift]) == "(; 1)"
+    assert oracle.describe(ball.ids[lamp]) == "(0:a; 0)"
+    assert f'v0 -> v{shift} [label="s"];' in dot
+    assert f'v0 -> v{lamp} [label="a"];' in dot
+
+
+def test_interior_boundary_truncated_only_at_the_rim():
+    cycle = PermutationStabilizerOracle(5, 1, None, perms=[[1, 2, 3, 4, 0]])
+    ball = generate_ball(cycle, 2)
+    assert ball.n_outer == 0 and ball.dist.max() == 2
+    comp = interior_boundary(ball, range(ball.n_vertices))
+    assert len(comp.outer_boundary) == 0
+    assert not comp.truncated
+    assert not folner_search(ball)[0].truncated
+
+    tree = generate_ball(trivial_subgroup_oracle(2), 2)
+    far = int(np.nonzero(tree.dist == 2)[0][0])
+    assert interior_boundary(tree, [0, far]).truncated
+    assert not interior_boundary(tree, [0]).truncated
 
 
 def test_letters_order_fixed():
