@@ -580,10 +580,13 @@ def graphing_from_text(text: str) -> Graphing:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if line.startswith("weights"):
-            weights = [_number(float, tok, "graphing weight") for tok in line.split()[1:]]
+        head, *tokens = line.split()
+        if head == "weights":
+            if weights is not None:
+                raise ValidationError("graphing text has two weights headers")
+            weights = [_number(float, tok, "graphing weight") for tok in tokens]
             continue
-        label, _, body = line.partition(":")
+        label, _, body = line.rpartition(":")  # labels may hold colons
         if not _:
             raise ValidationError(f"malformed graphing line: {raw!r}")
         mapping = {}

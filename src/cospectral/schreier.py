@@ -7,18 +7,19 @@ targets one step beyond the radius form the outer rim, which one BFS stores
 after the ball in the same vertex numbering, so that interiors, boundaries
 and Folner defects are exact even at the rim.
 
-Oracles that can number their cosets by int64 codes (Stallings, exponent-sum
-kernels, permutation stabilizers, and products and reroots of these) give a
-``CosetCoder``; their balls are built one BFS layer at a time by numpy over
-the codes, and coset ids are decoded only when first read.  Other oracles
-(wreath percolation, user oracles) go through a per-vertex loop over
-``act``.  Both give the same numbering, rim and cap rule.
+Every ball is built one BFS layer at a time by numpy over int64 coset codes,
+and coset ids are decoded only when first read.  Oracles that can number
+their cosets (Stallings, exponent-sum kernels, permutation stabilizers, and
+products and reroots of these) give their own ``CosetCoder``; the others
+(wreath percolation, user oracles, codes that would overflow int64) are
+numbered by interning the ids ``act`` returns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
@@ -77,7 +78,8 @@ class SubgroupOracle:
     ``root`` (the coset of the subgroup itself), and implement ``act``.
     Coset ids are opaque hashables; ``act`` must respect inverses.  A
     subclass that can number its cosets by integers may implement ``coder``,
-    which lets ``generate_ball`` build its windows over int64 codes.
+    which lets ``generate_ball`` step whole BFS layers by numpy; without one,
+    ``generate_ball`` numbers the cosets as ``act`` first returns them.
     """
 
     family: tuple
@@ -374,62 +376,19 @@ def generate_ball(
     Rim vertices are stored after the ball in the same BFS order and never
     expanded.  Raises BallCapExceeded if the ball plus its rim would exceed
     ``vertex_cap`` vertices; its ``attained_radius`` is the largest radius
-    whose ball and rim fit.  Oracles with a ``coder`` for this radius are
-    expanded a layer at a time over int64 codes and decode their ids on
-    first access; the others run a per-vertex loop over ``act``.
+    whose ball and rim fit.
+
+    The BFS runs one layer at a time over the codes of the oracle's
+    ``coder`` (or of ``_interning_coder`` when it has none).  A neighbor of
+    layer k lies in layers k-1..k+1, so one ``np.unique`` over the codes of
+    layers k-1 and k followed by layer k's targets finds every target:
+    values first seen among the known codes keep their index, the rest form
+    layer k+1, numbered by first occurrence in (vertex, slot) order.  Ids
+    are decoded on first access.
     """
     if radius < 0:
         raise ValidationError(f"radius must be >= 0, got {radius}")
-    coder = oracle.coder(oracle.root, radius)
-    if coder is not None:
-        return _coded_ball(oracle, radius, vertex_cap, coder)
-    letters = letters_of_rank(oracle.d)
-    act = oracle.act
-    root = oracle.root
-
-    ids = [root]
-    index = {root: 0}
-    dist = [0]
-    targets: list[int] = []
-
-    i = 0
-    while i < len(ids) and dist[i] <= radius:  # ids grows during iteration
-        here = ids[i]
-        step = dist[i] + 1
-        for letter in letters:
-            t = act(letter, here)
-            j = index.get(t)
-            if j is None:
-                j = len(ids)
-                if j >= vertex_cap:
-                    raise _cap_exceeded(vertex_cap, step)
-                index[t] = j
-                ids.append(t)
-                dist.append(step)
-            targets.append(j)
-        i += 1
-
-    nbr = np.array(targets, dtype=np.int32).reshape(i, 2 * oracle.d)
-    return SchreierBall(oracle, radius, dist, nbr, lambda: ids)
-
-
-def _cap_exceeded(vertex_cap: int, step: int) -> BallCapExceeded:
-    return BallCapExceeded(
-        f"vertex cap {vertex_cap} exceeded at distance {step} "
-        f"(attained radius {step - 2})",
-        attained_radius=step - 2,
-    )
-
-
-def _coded_ball(oracle, radius: int, vertex_cap: int, coder: CosetCoder) -> SchreierBall:
-    """The BFS of ``generate_ball``, one layer at a time over coset codes.
-
-    A neighbor of layer k lies in layers k-1..k+1, so one ``np.unique`` over
-    the codes of layers k-1 and k followed by layer k's targets finds every
-    target: values first seen among the known codes keep their index, the
-    rest form layer k+1, numbered by first occurrence in the flattened
-    (vertex, slot) order, which is the order the per-vertex loop finds them.
-    """
+    coder = oracle.coder(oracle.root, radius) or _interning_coder(oracle, vertex_cap)
     width = 2 * oracle.d
     layers = [np.array([coder.root], dtype=np.int64)]  # codes in index order
     rows = []
@@ -446,7 +405,11 @@ def _coded_ball(oracle, radius: int, vertex_cap: int, coder: CosetCoder) -> Schr
         fresh = np.flatnonzero(first >= len(known))
         fresh = fresh[np.argsort(first[fresh])]  # first-occurrence order
         if len(fresh) and start + len(fresh) > vertex_cap:
-            raise _cap_exceeded(vertex_cap, k + 1)
+            raise BallCapExceeded(
+                f"vertex cap {vertex_cap} exceeded at distance {k + 1} "
+                f"(attained radius {k - 1})",
+                attained_radius=k - 1,
+            )
         index = low + first  # a known code's index; fresh ones overwritten
         index[fresh] = np.arange(start, start + len(fresh))
         rows.append(index[inverse[len(known) :]].astype(np.int32).reshape(-1, width))
@@ -455,10 +418,34 @@ def _coded_ball(oracle, radius: int, vertex_cap: int, coder: CosetCoder) -> Schr
 
     codes = np.concatenate(layers)
     dist = np.repeat(np.arange(len(layers), dtype=np.int32), [len(l) for l in layers])
-    nbr = np.concatenate(rows)
+    decode = coder.decode  # not the coder: an interning index must not outlive the BFS
     return SchreierBall(
-        oracle, radius, dist, nbr, lambda: [coder.decode(c) for c in codes.tolist()]
+        oracle, radius, dist, np.concatenate(rows), lambda: [decode(c) for c in codes.tolist()]
     )
+
+
+def _interning_coder(oracle: SubgroupOracle, vertex_cap: int) -> CosetCoder:
+    """Codes for an oracle without its own: ``step`` calls ``act`` for each
+    (vertex, slot) in order and numbers each coset when it first appears,
+    the root as 0, so the codes are the BFS indices.  Once a layer has
+    numbered new cosets past ``vertex_cap``, ``step`` returns the rows made
+    so far: ``generate_ball`` raises on that layer, and the rest of it
+    would only cost ``act`` calls and memory."""
+    ids = [oracle.root]
+    index = {oracle.root: 0}
+    act, letters = oracle.act, oracle.letters
+
+    def step(codes: np.ndarray) -> np.ndarray:
+        out = []
+        for c in codes.tolist():
+            here = ids[c]
+            out += [index.setdefault(act(letter, here), len(index)) for letter in letters]
+            if len(index) > vertex_cap >= len(ids):  # len(ids): cosets before this layer
+                break
+        ids.extend(islice(index, len(ids), None))  # the new ids, in code order
+        return np.array(out, dtype=np.int64).reshape(-1, len(letters))
+
+    return CosetCoder(0, CODE_LIMIT, step, ids.__getitem__)
 
 
 @dataclass

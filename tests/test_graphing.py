@@ -380,6 +380,15 @@ def test_text_format_roundtrip():
     assert np.array_equal(g.weights, g2.weights)
     assert [m.mapping for m in g.maps] == [m.mapping for m in g2.maps]
     assert [m.label for m in g.maps] == [m.label for m in g2.maps]
+    labelled = Graphing([1.0, 1.0], [
+        PartialMap("weights2", {0: 1}),
+        PartialMap("x:y", {1: 0}),
+        PartialMap("weights", {}),
+    ])
+    g3 = graphing_from_text(graphing_to_text(labelled))
+    assert [(m.label, m.mapping) for m in g3.maps] == [
+        ("weights2", {0: 1}), ("x:y", {1: 0}), ("weights", {})
+    ]
 
 
 def test_text_format_errors():
@@ -389,6 +398,8 @@ def test_text_format_errors():
         graphing_from_text("weights 1 1\nm 0->1\n")
     with pytest.raises(ValidationError):
         graphing_from_text("weights 1 1\nm: 0-1\n")
+    with pytest.raises(ValidationError):
+        graphing_from_text("weights 1 1\nweights 1 1 1\nm: 0->1\nM: 1->0\n")  # two headers
 
 
 @given(st.integers(min_value=0, max_value=10_000))

@@ -34,7 +34,7 @@ from cospectral.schreier import (
 )
 from cospectral.spectral import dirichlet_vector
 from cospectral.stallings import build_automaton, inverse_slot
-from cospectral.schreier import StallingsOracle
+from cospectral.schreier import StallingsOracle, SubgroupOracle
 from cospectral.words import letters_of_rank, parse_word
 
 
@@ -273,13 +273,33 @@ def test_ball_cap_error_carries_attained_radius():
     assert 0 <= err.value.attained_radius < 8
 
 
+class _UserOracle(SubgroupOracle):
+    """A user oracle with ``act`` only: F_2 acting on strings "x,y", a by
+    x -> x + 1 mod 5 and b by y -> y + 1, the cosets of the kernel of
+    F_2 -> Z/5 x Z."""
+
+    family = ("free", 2)
+    d = 2
+    root = "0,0"
+
+    def act(self, letter, coset):
+        x, y = map(int, coset.split(","))
+        if abs(letter) == 1:
+            x = (x + letter) % 5
+        else:
+            y += letter // 2
+        return f"{x},{y}"
+
+
 @pytest.mark.parametrize("oracle", [
     trivial_subgroup_oracle(2),
     kernel_to_Z_oracle(2, (1, 0)),
     StallingsOracle(build_automaton("ab,ba", 2)),
     product_oracle(kernel_to_Z_oracle(2, (1, -2)), PermutationStabilizerOracle(5, 2, 1)),
     PermutationStabilizerOracle(200, 2, 3),
-], ids=["tree", "zkernel", "stallings", "product", "perm"])
+    wreath_percolation_oracle(sample_bernoulli_percolation(0.5, 41, 3)),
+    _UserOracle(),
+], ids=["tree", "zkernel", "stallings", "product", "perm", "wreath", "user"])
 def test_attained_radius_fits_and_the_next_overflows(oracle):
     for cap in range(1, 61):
         with pytest.raises(BallCapExceeded) as err:
@@ -290,6 +310,27 @@ def test_attained_radius_fits_and_the_next_overflows(oracle):
             assert ball.n_vertices + ball.n_outer <= cap
         with pytest.raises(BallCapExceeded):
             generate_ball(oracle, attained + 1, vertex_cap=cap)
+
+
+def test_capped_ball_meets_no_coset_far_past_the_cap():
+    class TreeOracle(SubgroupOracle):  # the 4-regular tree, with act only
+        family, d = ("free", 2), 2
+
+        def __init__(self):
+            self.tree = trivial_subgroup_oracle(2)
+            self.root = self.tree.root
+            self.seen = set()
+
+        def act(self, letter, coset):
+            target = self.tree.act(letter, coset)
+            self.seen.add(target)
+            return target
+
+    for cap in (10, 100, 1000):
+        oracle = TreeOracle()
+        with pytest.raises(BallCapExceeded):
+            generate_ball(oracle, 40, vertex_cap=cap)
+        assert len(oracle.seen) <= cap + 4  # one vertex's targets past the cap
 
 
 def _id_types(coset):
@@ -330,6 +371,7 @@ def _reference_cases():
         *[(oracle, radii, True) for oracle in entries],
         (PermutationStabilizerOracle(5, 1, None, perms=[[1, 2, 3, 4, 0]]), radii, True),
         (kernel_to_Z_oracle(3, (2, -1, 0)), radii, True),
+        (_UserOracle(), radii, False),
         (trivial_subgroup_oracle(1), [69, 70], False),  # 2^71 tails overflow int64
     ]
 
