@@ -10,11 +10,13 @@ Each tree is a checkout of this repository.  For every pair and workload the
 script runs ``perfbench/run.py --trace 0`` once in each tree, one after the
 other, for the ``run_seconds`` that ``BENCHMARK.json`` sets.  The tree that
 goes first alternates from pair to pair, so a drift in the host's speed falls
-on both sides alike.  The JSON written to ``--out`` holds every run and, per
-workload and end-to-end metric, each side's median and quartiles, the
-relative change of the medians, and the number of pairs the change won, with
-the CPU count, the Python and numpy versions, and what pins each tree's code
-(see ``revision``).
+on both sides alike.  After the pairs it runs ``--trace 1`` once per tree and
+workload for the per-layer metrics.  The JSON written to ``--out`` holds
+every run and, per workload and end-to-end metric, each side's median and
+quartiles, the relative change of the medians, and the number of pairs the
+change won; per workload and per-layer metric, each side's traced value and
+their relative change; with the CPU count, the Python and numpy versions,
+and what pins each tree's code (see ``revision``).
 """
 
 from __future__ import annotations
@@ -58,10 +60,10 @@ def revision(tree: Path) -> dict:
     return out
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
     """One ``perfbench/run.py`` process; its result line, or the error."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
@@ -103,6 +105,20 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
     return out
 
 
+def per_layer(traced: dict) -> dict:
+    """The traced run of each side without its metrics, and per metric each
+    side's value and the relative change (None where a side failed or the
+    parent reads 0)."""
+    sides = {side: traced[side].get("metrics", {}) for side in SIDES}
+    metrics = {}
+    for name in sorted(set(sides["parent"]) | set(sides["change"])):
+        parent, change = (sides[side].get(name) for side in SIDES)
+        rel = (change - parent) / parent if parent and change is not None else None
+        metrics[name] = {"parent": parent, "change": change, "change_rel": rel}
+    runs = {side: {k: v for k, v in traced[side].items() if k != "metrics"} for side in SIDES}
+    return {"runs": runs, "metrics": metrics}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path, help="source tree to compare against")
@@ -130,6 +146,12 @@ def main(argv=None) -> int:
                 runs[workload].append({"pair": pair, "side": side, **result})
                 shown = result.get("metrics", {}).get("wall_s", result.get("error"))
                 print(f"pair {pair} {workload} {side}: {shown}", file=sys.stderr)
+    traced = {w: {} for w in workloads}
+    for workload in workloads:
+        for side in SIDES:
+            result = run_once(trees[side], workload, args.seed, seconds, trace=1)
+            traced[workload][side] = result
+            print(f"traced {workload} {side}: {result.get('error', 'ok')}", file=sys.stderr)
 
     report = {
         "environment": {
@@ -140,9 +162,10 @@ def main(argv=None) -> int:
         },
         "revisions": {side: revision(tree) for side, tree in trees.items()},
         "settings": {"pairs": args.pairs, "run_seconds": seconds, "seed": args.seed,
-                     "trace": 0},
+                     "traced_runs_per_side": 1},
         "workloads": {
-            w: {"metrics": summarize(runs[w], spec["end_to_end"]), "runs": runs[w]}
+            w: {"metrics": summarize(runs[w], spec["end_to_end"]), "runs": runs[w],
+                "per_layer": per_layer(traced[w])}
             for w in workloads
         },
     }

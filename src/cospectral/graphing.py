@@ -89,6 +89,7 @@ class Graphing:
             raise ValidationError("a graphing needs at least one map")
         n = len(self.weights)
         for m in self.maps:
+            _check_label(m.label)
             for x, y in m.mapping.items():
                 if not (0 <= x < n and 0 <= y < n):
                     raise ValidationError(f"map {m.label!r} leaves the point set")
@@ -562,6 +563,16 @@ def product_test_function(
         pairs=pairs,
     )
     return f, report
+
+
+def _check_label(label: str) -> None:
+    """A map label must read back from its ``graphing_to_text`` line: no
+    line break or outer whitespace, and the line must not pass for the
+    weights header or a comment.  Colons are fine: the reader splits at the
+    last one."""
+    if (len((label + ".").splitlines()) > 1 or label != label.strip()
+            or f"{label}:".split()[0] == "weights" or label.startswith("#")):
+        raise ValidationError(f"map label {label!r} cannot be written as graphing text")
 
 
 def graphing_to_text(g: Graphing) -> str:

@@ -8,6 +8,7 @@ identical parameters and seed reproduce identical oracles bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -130,6 +131,67 @@ class WreathPercolationOracle(SubgroupOracle):
             entries.pop(shift, None)
         return (tuple(sorted(entries.items())), shift)
 
+    def coder(self, root, radius: int) -> CosetCoder | None:
+        """One row per coset: the shift, offset so that the radius + 1 range
+        around the root's shift starts at 0, then a lamp code for each site
+        within ``radius`` of the root's shift, where the walker stands while
+        the ball is stepped.  A lamp code is the reduced word u = w0^-1 w,
+        w0 the root's lamp word at that site, in bijective base 4 over the
+        digits (a, b, A, B): appending digit l gives u * 4 + l + 1 and
+        popping gives (u - 1) // 4.  At distance j from the root's shift u
+        has at most radius + 1 - j letters; at sites of A it stays 0, since
+        lamp letters are loops there.  None when a shift in the range
+        leaves [-W, W] (``act`` raises there) or a column passes
+        ``CODE_LIMIT``."""
+        support, center = root
+        if abs(center) + radius + 1 > self.sample.window:
+            return None
+        sites = range(center - radius, center + radius + 1)
+        looped = np.array([False] + [x in self.sample.sites for x in sites])
+        sizes = (2 * radius + 3,) + tuple(
+            1 if x in self.sample.sites else (4 ** (radius + 2 - abs(x - center)) - 1) // 3
+            for x in sites
+        )
+        if max(sizes) > CODE_LIMIT:
+            return None
+        digits = np.arange(4)
+        undo = (digits + 2) % 4  # the digit each digit cancels
+        lamp_slots = np.array([1, 2, 4, 5])  # a, b, A, B
+
+        def step(rows: np.ndarray) -> np.ndarray:
+            out = np.repeat(rows[:, None, :], 6, axis=1)
+            out[:, 0, 0] += 1
+            out[:, 3, 0] -= 1
+            col = rows[:, 0]  # the walker's lamp column is its shift code
+            at = np.arange(len(rows))
+            u = rows[at, col][:, None]
+            pushed = np.where((u > 0) & ((u - 1) % 4 == undo), (u - 1) // 4, u * 4 + digits + 1)
+            out[at[:, None], lamp_slots, col[:, None]] = np.where(looped[col][:, None], u, pushed)
+            return out
+
+        def decode(row: list) -> tuple:
+            entries = dict(support)
+            for x, u in zip(sites, row[1:]):
+                if not u:
+                    continue
+                word = list(entries.get(x, ()))
+                lamps = []
+                while u:
+                    u, digit = divmod(u - 1, 4)
+                    lamps.append(_LAMP_LETTERS[digit])
+                for lamp in reversed(lamps):
+                    if word and word[-1] == -lamp:
+                        word.pop()
+                    else:
+                        word.append(lamp)
+                if word:
+                    entries[x] = tuple(word)
+                else:
+                    entries.pop(x, None)
+            return (tuple(sorted(entries.items())), row[0] + center - radius - 1)
+
+        return CosetCoder((radius + 1,) + (0,) * len(sites), sizes, step, decode)
+
     def membership(self, element) -> bool:
         """An element (f, n) lies in H_A iff n = 0 and supp f is inside A."""
         if isinstance(element, Word):
@@ -151,6 +213,9 @@ class WreathPercolationOracle(SubgroupOracle):
             f"{pos}:" + "".join(_lamp_char(l) for l in word) for pos, word in support
         )
         return f"({body}; {shift})"
+
+
+_LAMP_LETTERS = (1, 2, -1, -2)  # the lamp letter of each digit a, b, A, B
 
 
 def _lamp_char(letter: int) -> str:
@@ -197,7 +262,8 @@ class PermutationStabilizerOracle(SubgroupOracle):
     def coder(self, root: int, radius: int) -> CosetCoder:
         """Codes are the points, stepped through one (n_points, 2d) table."""
         table = np.stack(self.perms + self.inverse_perms, axis=1)
-        return CosetCoder(int(root), self.n_points, lambda codes: table[codes], int)
+        return CosetCoder((int(root),), (self.n_points,), lambda rows: table[rows[:, 0], :, None],
+                          itemgetter(0))
 
     def orbit_of_root(self) -> list[int]:
         # the orbit has at most n_points points, so radius n_points - 1
@@ -240,8 +306,8 @@ class ZKernelOracle(SubgroupOracle):
             return None
         shift = span - root
         steps = np.array(self.weights + tuple(-w for w in self.weights), dtype=np.int64)
-        return CosetCoder(span, 2 * span + 1, lambda codes: codes[:, None] + steps,
-                          lambda code: code - shift)
+        return CosetCoder((span,), (2 * span + 1,), lambda rows: (rows + steps)[:, :, None],
+                          lambda row: row[0] - shift)
 
     def membership(self, word: Word) -> bool:
         total = 0

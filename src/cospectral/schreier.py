@@ -8,11 +8,14 @@ after the ball in the same vertex numbering, so that interiors, boundaries
 and Folner defects are exact even at the rim.
 
 Every ball is built one BFS layer at a time by numpy over int64 coset codes,
-and coset ids are decoded only when first read.  Oracles that can number
-their cosets (Stallings, exponent-sum kernels, permutation stabilizers, and
-products and reroots of these) give their own ``CosetCoder``; the others
-(wreath percolation, user oracles, codes that would overflow int64) are
-numbered by interning the ids ``act`` returns.
+and coset ids are decoded only when read.  Every family in the package can
+number its cosets (Stallings, exponent-sum kernels, permutation
+stabilizers, wreath percolation, and products and reroots of these) and
+gives its own ``CosetCoder``, whose code rows may span several int64
+columns, so products never overflow.  Only user oracles without a coder
+and over-wide windows (wreath shifts that would leave [-W, W], or one
+Stallings or exponent-sum column past int64) are numbered by interning the
+ids ``act`` returns.
 """
 
 from __future__ import annotations
@@ -56,18 +59,21 @@ CODE_LIMIT = 2**63  # coset codes must stay below this to fit int64
 
 
 class CosetCoder(NamedTuple):
-    """Integer codes in [0, size) for the cosets within distance radius + 1
-    of a root.
+    """Integer codes for the cosets within distance radius + 1 of a root.
 
-    ``step(codes)`` maps an int64 array of codes of cosets within distance
-    radius to the (m, 2d) array of their targets in slot order, and
-    ``decode(code)`` turns a Python int code back into the coset id.
+    A code is a row of k integers, column j in [0, sizes[j]), each size at
+    most ``CODE_LIMIT`` so that every column fits int64.  ``step(rows)``
+    maps an (m, k) int64 array of the codes of cosets within distance
+    radius to the (m, 2d, k) array of their targets in slot order, and
+    ``decode(row)`` turns one code row, a list of Python ints, back into
+    the coset id.  A product's rows are its factors' rows side by side, so
+    product codes never overflow.
     """
 
-    root: int
-    size: int
+    root: tuple[int, ...]
+    sizes: tuple[int, ...]
     step: Callable[[np.ndarray], np.ndarray]
-    decode: Callable[[int], object]
+    decode: Callable[[list], object]
 
 
 class SubgroupOracle:
@@ -77,9 +83,12 @@ class SubgroupOracle:
     ("free", d) or ("wreath",)), ``d`` (positive generator count) and
     ``root`` (the coset of the subgroup itself), and implement ``act``.
     Coset ids are opaque hashables; ``act`` must respect inverses.  A
-    subclass that can number its cosets by integers may implement ``coder``,
-    which lets ``generate_ball`` step whole BFS layers by numpy; without one,
-    ``generate_ball`` numbers the cosets as ``act`` first returns them.
+    subclass that can number its cosets by rows of integers may implement
+    ``coder``, which lets ``generate_ball`` step whole BFS layers by numpy;
+    every family in the package does, wreath percolation included.  Without
+    one (user oracles) or when it returns None (over-wide windows),
+    ``generate_ball`` numbers the cosets as ``act`` first returns them, one
+    Python call per (vertex, slot).
     """
 
     family: tuple
@@ -105,7 +114,7 @@ class SubgroupOracle:
 
     def coder(self, root, radius: int) -> CosetCoder | None:
         """Codes for the cosets within distance radius + 1 of ``root``, or
-        None when the family has none or they would not fit int64."""
+        None when the family has none or a column would not fit int64."""
         return None
 
 
@@ -162,7 +171,8 @@ class StallingsOracle(SubgroupOracle):
         grow = (np.arange(width) + 1) * n
         inverse = (np.arange(width) + d) % width
 
-        def step(codes: np.ndarray) -> np.ndarray:
+        def step(rows: np.ndarray) -> np.ndarray:
+            codes = rows[:, 0]
             tails, states = np.divmod(codes, n)
             out = ((codes - states) * width + states)[:, None] + grow  # tail + slot
             core = np.flatnonzero(tails == 0)
@@ -171,10 +181,10 @@ class StallingsOracle(SubgroupOracle):
             hanging = np.flatnonzero(tails)
             popped, last = np.divmod(tails[hanging] - 1, width)
             out[hanging, inverse[last]] = popped * n + states[hanging]
-            return out
+            return out[:, :, None]
 
-        def decode(code: int) -> bytes:
-            tail, state = divmod(code, n)
+        def decode(row: list) -> bytes:
+            tail, state = divmod(row[0], n)
             slots_back = []
             while tail:
                 tail, slot = divmod(tail - 1, width)
@@ -184,7 +194,7 @@ class StallingsOracle(SubgroupOracle):
         tail = 0
         for slot in root[4:]:
             tail = tail * width + slot + 1
-        return CosetCoder(tail * n + int.from_bytes(root[:4], "little"), size, step, decode)
+        return CosetCoder((tail * n + int.from_bytes(root[:4], "little"),), (size,), step, decode)
 
 
 def _slot_char(slot: int, d: int) -> str:
@@ -226,22 +236,20 @@ class ProductOracle(SubgroupOracle):
         return f"({self.o1.describe(coset[0])}, {self.o2.describe(coset[1])})"
 
     def coder(self, root, radius: int) -> CosetCoder | None:
-        """The two factor codes packed into one: code1 * size2 + code2."""
+        """The two factors' code rows side by side."""
         c1 = self.o1.coder(root[0], radius)
         c2 = self.o2.coder(root[1], radius)
-        if c1 is None or c2 is None or c1.size * c2.size > CODE_LIMIT:
+        if c1 is None or c2 is None:
             return None
-        size2 = c2.size
+        k1 = len(c1.sizes)
 
-        def step(codes: np.ndarray) -> np.ndarray:
-            first, second = np.divmod(codes, size2)
-            return c1.step(first) * size2 + c2.step(second)
+        def step(rows: np.ndarray) -> np.ndarray:
+            return np.concatenate([c1.step(rows[:, :k1]), c2.step(rows[:, k1:])], axis=2)
 
-        def decode(code: int) -> tuple:
-            first, second = divmod(code, size2)
-            return (c1.decode(first), c2.decode(second))
+        def decode(row: list) -> tuple:
+            return (c1.decode(row[:k1]), c2.decode(row[k1:]))
 
-        return CosetCoder(c1.root * size2 + c2.root, c1.size * size2, step, decode)
+        return CosetCoder(c1.root + c2.root, c1.sizes + c2.sizes, step, decode)
 
 
 def product_oracle(o1: SubgroupOracle, o2: SubgroupOracle) -> ProductOracle:
@@ -290,23 +298,28 @@ class SchreierBall:
     one step beyond the radius, in discovery order.  Rim indices appear
     only as ``nbr`` targets; their own neighbors are unknown.  ``dist_full``
     holds the distances of all of them (``dist`` is its ball prefix).
-    ``ids``, ``outer_ids`` and ``index`` (every stored id, rim included, to
-    its index) come from ``stored_ids``, a function listing the ids of all
-    stored vertices in index order; it runs on first access, since the
-    spectral and path-count code reads only the tables.
+    The ball keeps the coset code rows of all of them in index order
+    (``codes``) and ``decode``, which turns one row (a list of Python ints)
+    into its coset id.  ``ids``, ``outer_ids`` and ``index`` (every stored
+    id, rim included, to its index) decode every row on first access;
+    ``id_of`` decodes one row until then, since the spectral and path-count
+    code reads only the tables and a Folner set is a small share of the
+    ball.
     """
 
-    def __init__(self, oracle, radius, dist_full, nbr, stored_ids: Callable[[], list]):
+    def __init__(self, oracle, radius, dist_full, nbr, codes: np.ndarray,
+                 decode: Callable[[list], object]):
         self.oracle = oracle
         self.radius = radius
         self.dist_full = np.asarray(dist_full, dtype=np.int32)
         self.dist = self.dist_full[: len(nbr)]
         self.nbr = nbr
-        self._stored_ids = stored_ids
+        self._codes = codes
+        self._decode = decode
 
     @cached_property
     def _all_ids(self) -> list:
-        return self._stored_ids()
+        return [self._decode(row) for row in self._codes.tolist()]
 
     @cached_property
     def ids(self) -> list:
@@ -329,7 +342,10 @@ class SchreierBall:
         return len(self.dist_full) - len(self.nbr)
 
     def id_of(self, index: int):
-        return self._all_ids[index]
+        """The coset id of one stored vertex, ball or rim."""
+        if "_all_ids" in vars(self):
+            return self._all_ids[index]
+        return self._decode(self._codes[index].tolist())
 
     def indices_of(self, vertices: Iterable) -> np.ndarray:
         """Sorted ball indices of a vertex set given as ball indices: Python
@@ -378,30 +394,36 @@ def generate_ball(
     ``vertex_cap`` vertices; its ``attained_radius`` is the largest radius
     whose ball and rim fit.
 
-    The BFS runs one layer at a time over the codes of the oracle's
-    ``coder`` (or of ``_interning_coder`` when it has none).  A neighbor of
-    layer k lies in layers k-1..k+1, so one ``np.unique`` over the codes of
-    layers k-1 and k followed by layer k's targets finds every target:
-    values first seen among the known codes keep their index, the rest form
-    layer k+1, numbered by first occurrence in (vertex, slot) order.  Ids
-    are decoded on first access.
+    The BFS runs one layer at a time over the code rows of the oracle's
+    ``coder``, each packed into as few int64 columns as the column sizes
+    allow (``_packer``); only user oracles and over-wide windows, whose
+    ``coder`` gives None, go through ``_interning_coder``.
+    A neighbor of layer k lies in layers k-1..k+1, so one ``_first_seen``
+    (``np.unique``) over the keys of layers k-1 and k followed by layer k's
+    targets finds every target: keys first seen among the known ones keep
+    their index, the rest form layer k+1, numbered by first occurrence in
+    (vertex, slot) order.  Ids are decoded when read.
     """
     if radius < 0:
         raise ValidationError(f"radius must be >= 0, got {radius}")
     coder = oracle.coder(oracle.root, radius) or _interning_coder(oracle, vertex_cap)
     width = 2 * oracle.d
-    layers = [np.array([coder.root], dtype=np.int64)]  # codes in index order
+    pack, unpack = _packer(coder.sizes)
+    # one-column codes (trees, Stallings windows) come in long sorted runs,
+    # where a stable sort (timsort) is fastest; on packed keys a quicksort
+    # is about twice as fast
+    stable = len(coder.sizes) == 1
+    layers = [np.array([coder.root], dtype=np.int64)]  # code rows in index order
+    keys = [pack(layers[0])]  # the keys of the last two layers
     rows = []
     low, start = 0, 1  # layers k-1 and k hold the indices [low, start)
     for k in range(radius + 1):
         layer = layers[-1]
         if not len(layer):
             break
-        known = np.concatenate(layers[-2:])
-        targets = coder.step(layer).ravel()
-        keys, first, inverse = np.unique(
-            np.concatenate([known, targets]), return_index=True, return_inverse=True
-        )
+        known = np.concatenate(keys)
+        targets = coder.step(layer).reshape(-1, len(coder.sizes))
+        unique, first, inverse = _first_seen(np.concatenate([known, pack(targets)]), stable)
         fresh = np.flatnonzero(first >= len(known))
         fresh = fresh[np.argsort(first[fresh])]  # first-occurrence order
         if len(fresh) and start + len(fresh) > vertex_cap:
@@ -410,18 +432,79 @@ def generate_ball(
                 f"(attained radius {k - 1})",
                 attained_radius=k - 1,
             )
-        index = low + first  # a known code's index; fresh ones overwritten
+        index = low + first  # a known key's index; fresh ones overwritten
         index[fresh] = np.arange(start, start + len(fresh))
         rows.append(index[inverse[len(known) :]].astype(np.int32).reshape(-1, width))
-        layers.append(keys[fresh])
+        keys = [keys[-1], unique[fresh]]
+        layers.append(unpack(keys[-1]))
         low, start = start - len(layer), start + len(fresh)
 
-    codes = np.concatenate(layers)
     dist = np.repeat(np.arange(len(layers), dtype=np.int32), [len(l) for l in layers])
-    decode = coder.decode  # not the coder: an interning index must not outlive the BFS
-    return SchreierBall(
-        oracle, radius, dist, np.concatenate(rows), lambda: [decode(c) for c in codes.tolist()]
-    )
+    # the decoder, not the coder: an interning index must not outlive the BFS
+    return SchreierBall(oracle, radius, dist, np.concatenate(rows), np.concatenate(layers),
+                        coder.decode)
+
+
+def _first_seen(values: np.ndarray, stable: bool):
+    """``np.unique(values, return_index=True, return_inverse=True)`` for a
+    1-D array.  Without a stable sort, the first occurrence of a value is
+    the least position in its run of the sorted order."""
+    order = np.argsort(values, kind="stable" if stable else None)
+    ordered = values[order]
+    starts = np.empty(len(values), dtype=bool)
+    starts[:1] = True
+    starts[1:] = ordered[1:] != ordered[:-1]
+    heads = np.flatnonzero(starts)
+    inverse = np.empty(len(values), dtype=np.intp)
+    inverse[order] = np.cumsum(starts) - 1
+    first = order[heads] if stable else np.minimum.reduceat(order, heads)
+    return ordered[heads], first, inverse
+
+
+def _packer(sizes: tuple[int, ...]):
+    """``pack`` and ``unpack`` between (m, k) code rows and one key per row.
+
+    Runs of adjacent columns merge in mixed radix while the product of
+    their sizes stays below ``CODE_LIMIT``.  One run gives an int64 key,
+    the column itself when k = 1; more give the runs' int64 values viewed
+    as one void key.
+    """
+    if len(sizes) == 1:
+        return (lambda rows: rows[:, 0]), (lambda keys: keys[:, None])
+    runs, product = [[]], 1
+    for j, size in enumerate(sizes):
+        if runs[-1] and product * size >= CODE_LIMIT:
+            runs.append([])
+            product = 1
+        runs[-1].append(j)
+        product *= size
+    places = np.zeros((len(sizes), len(runs)), dtype=np.int64)  # rows @ places: run values
+    for r, run in enumerate(runs):
+        place = 1
+        for j in reversed(run):
+            places[j, r] = place
+            place *= sizes[j]
+    if len(runs) == 1:
+        places = places[:, 0]
+    void = np.dtype((np.void, 8 * len(runs)))
+
+    def pack(rows: np.ndarray) -> np.ndarray:
+        keys = rows @ places
+        return keys if len(runs) == 1 else keys.view(void).ravel()
+
+    def unpack(keys: np.ndarray) -> np.ndarray:
+        values = keys.view(np.int64)  # row i's run r at i * len(runs) + r
+        rows = np.empty((len(keys), len(sizes)), dtype=np.int64)
+        for r, run in enumerate(runs):
+            value, head = values[r :: len(runs)], rows[:, run[0]]
+            for j in reversed(run[1:]):  # the quotient goes on in the run's head column
+                np.divmod(value, sizes[j], out=(head, rows[:, j]))
+                value = head
+            if len(run) == 1:
+                head[:] = value
+        return rows
+
+    return pack, unpack
 
 
 def _interning_coder(oracle: SubgroupOracle, vertex_cap: int) -> CosetCoder:
@@ -435,17 +518,17 @@ def _interning_coder(oracle: SubgroupOracle, vertex_cap: int) -> CosetCoder:
     index = {oracle.root: 0}
     act, letters = oracle.act, oracle.letters
 
-    def step(codes: np.ndarray) -> np.ndarray:
+    def step(rows: np.ndarray) -> np.ndarray:
         out = []
-        for c in codes.tolist():
+        for c in rows[:, 0].tolist():
             here = ids[c]
             out += [index.setdefault(act(letter, here), len(index)) for letter in letters]
             if len(index) > vertex_cap >= len(ids):  # len(ids): cosets before this layer
                 break
         ids.extend(islice(index, len(ids), None))  # the new ids, in code order
-        return np.array(out, dtype=np.int64).reshape(-1, len(letters))
+        return np.array(out, dtype=np.int64).reshape(-1, len(letters), 1)
 
-    return CosetCoder(0, CODE_LIMIT, step, ids.__getitem__)
+    return CosetCoder((0,), (CODE_LIMIT,), step, lambda row: ids[row[0]])
 
 
 @dataclass
@@ -465,10 +548,10 @@ class ComponentSet:
     truncated: bool
 
     def subset_ids(self):
-        return [self.ball.ids[i] for i in self.subset]
+        return [self.ball.id_of(int(i)) for i in self.subset]
 
     def interior_ids(self):
-        return [self.ball.ids[i] for i in self.interior]
+        return [self.ball.id_of(int(i)) for i in self.interior]
 
     def boundary_ids(self):
         return [self.ball.id_of(int(i)) for i in self.outer_boundary]

@@ -391,6 +391,22 @@ def test_text_format_roundtrip():
     ]
 
 
+@pytest.mark.parametrize("label", [
+    "weights x",  # its line would read as a second weights header
+    "weights\tx",
+    " m",  # outer whitespace would be stripped on reading
+    "m ",
+    "a\nb",  # a line break would split the line
+    "a\rb",
+    "# m",  # its line would read as a comment
+])
+def test_unwritable_map_labels_rejected(label):
+    with pytest.raises(ValidationError):
+        Graphing([1.0, 1.0], [(label, {0: 1}), ("m~", {1: 0})])
+    with pytest.raises(ValidationError):
+        Graphing.from_pairs([1.0, 1.0], [(label, {0: 1})])
+
+
 def test_text_format_errors():
     with pytest.raises(ValidationError):
         graphing_from_text("m: 0->1\n")  # missing weights

@@ -35,7 +35,7 @@ from cospectral.schreier import (
 from cospectral.spectral import dirichlet_vector
 from cospectral.stallings import build_automaton, inverse_slot
 from cospectral.schreier import StallingsOracle, SubgroupOracle
-from cospectral.words import letters_of_rank, parse_word
+from cospectral.words import Word, letters_of_rank, parse_word
 
 
 def test_tree_ball_counts():
@@ -356,13 +356,21 @@ def _reference_cases():
         for prod in products
         for entry in enumerate_double_cosets(prod.o1, prod.o2, 3, component_cap=300)
     ]
+    wreath = wreath_percolation_oracle(sample_bernoulli_percolation(0.5, 12, 2))
+    lamp_root = conjugate_oracle(wreath, Word((2, 1, 3, 1, 2)))  # a.s.b.s.a
+    assert lamp_root.root[0]  # a coset with lamps
+    edge = wreath_percolation_oracle(sample_bernoulli_percolation(0.5, 3, 1))
     radii = range(6)
     return [
         (trivial_subgroup_oracle(2), radii, True),
         (whole_group_oracle(3), radii, True),
         (zkernel, radii, True),
         (PermutationStabilizerOracle(9, 2, 4), radii, True),
-        (wreath_percolation_oracle(sample_bernoulli_percolation(0.5, 12, 2)), radii, False),
+        (wreath, radii, True),
+        (lamp_root, radii, True),
+        (product_oracle(wreath, wreath_percolation_oracle(sample_bernoulli_percolation(0.5, 12, 3))),
+         range(4), True),
+        (edge, [2], True),  # shifts reach the window's edge W = R + 1
         (StallingsOracle(build_automaton("aa,b,abA", 2)), radii, True),
         (stallings, radii, True),
         (tail_root, radii, True),
@@ -373,6 +381,11 @@ def _reference_cases():
         (kernel_to_Z_oracle(3, (2, -1, 0)), radii, True),
         (_UserOracle(), radii, False),
         (trivial_subgroup_oracle(1), [69, 70], False),  # 2^71 tails overflow int64
+        # each factor's codes need 44 bits, so the pair spans two int64 keys
+        (product_oracle(StallingsOracle(build_automaton("aa,b,aba", 2)),
+                        StallingsOracle(build_automaton("a,bb,bab", 2))), [20], True),
+        # tails of 2^41: keys packed into one int64 would wrap and collide
+        (product_oracle(trivial_subgroup_oracle(1), trivial_subgroup_oracle(1)), [40], True),
     ]
 
 
@@ -401,6 +414,16 @@ def test_coded_ball_decodes_ids_on_first_access():
     assert not {"ids", "outer_ids", "index"} & set(vars(ball))
     assert ball.index[ball.ids[5]] == 5
     assert ball.id_of(ball.n_vertices) == ball.outer_ids[0]
+
+
+def test_folner_subset_decodes_only_its_rows():
+    oracle = wreath_percolation_oracle(sample_bernoulli_percolation(0.5, 40, 7))
+    assert oracle.coder(oracle.root, 4) is not None
+    ball = generate_ball(oracle, 4)
+    component, _ = folner_search(ball)
+    ids = component.subset_ids()
+    assert not {"_all_ids", "ids"} & set(vars(ball))
+    assert ids == [ball.ids[i] for i in component.subset]
 
 
 def test_indices_of_rejects_rim_ids():
@@ -435,8 +458,11 @@ def test_negative_radius_rejected():
 
 def test_wreath_window_exceeded():
     oracle = wreath_percolation_oracle(sample_bernoulli_percolation(0.5, 3, 1))
-    with pytest.raises(WindowExceeded):
-        generate_ball(oracle, 5)
+    assert oracle.coder(oracle.root, 2) is not None  # shifts up to R + 1 = W
+    for radius in (3, 5):  # R + 1 > W: interned, and act raises at the edge
+        assert oracle.coder(oracle.root, radius) is None
+        with pytest.raises(WindowExceeded):
+            generate_ball(oracle, radius)
 
 
 def test_indices_of_rejects_foreign_ids():
