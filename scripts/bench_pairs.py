@@ -10,13 +10,14 @@ Each tree is a checkout of this repository.  For every pair and workload the
 script runs ``perfbench/run.py --trace 0`` once in each tree, one after the
 other, for the ``run_seconds`` that ``BENCHMARK.json`` sets.  The tree that
 goes first alternates from pair to pair, so a drift in the host's speed falls
-on both sides alike.  After the pairs it runs ``--trace 1`` once per tree and
-workload for the per-layer metrics.  The JSON written to ``--out`` holds
-every run and, per workload and end-to-end metric, each side's median and
-quartiles, the relative change of the medians, and the number of pairs the
-change won; per workload and per-layer metric, each side's traced value and
-their relative change; with the CPU count, the Python and numpy versions,
-and what pins each tree's code (see ``revision``).
+on both sides alike.  After the pairs it runs ``TRACED_PAIRS`` alternating
+pairs of ``--trace 1`` runs per workload for the per-layer metrics.  The JSON
+written to ``--out`` holds every run and, per workload and end-to-end
+metric, each side's median and quartiles, the relative change of the
+medians, and the number of pairs the change won; per workload and per-layer
+metric, each side's median over its traced runs and the relative change of
+the medians; with the CPU count, the Python and numpy versions, and what
+pins each tree's code (see ``revision``).
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from pathlib import Path
 import numpy as np
 
 SIDES = ("parent", "change")
+TRACED_PAIRS = 3  # one traced run per side cannot resolve the host's speed swings
 
 
 def git(tree: Path, *args: str) -> str | None:
@@ -105,18 +107,38 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
     return out
 
 
-def per_layer(traced: dict) -> dict:
-    """The traced run of each side without its metrics, and per metric each
-    side's value and the relative change (None where a side failed or the
-    parent reads 0)."""
-    sides = {side: traced[side].get("metrics", {}) for side in SIDES}
+def per_layer(traced: list[dict]) -> dict:
+    """Every traced run, and per metric each side's median over its runs and
+    the relative change of the medians (None where a side has no run that
+    succeeded or the parent's median is 0)."""
+    values = {side: {} for side in SIDES}
+    for run in traced:
+        for name, value in run.get("metrics", {}).items():
+            values[run["side"]].setdefault(name, []).append(value)
     metrics = {}
-    for name in sorted(set(sides["parent"]) | set(sides["change"])):
-        parent, change = (sides[side].get(name) for side in SIDES)
+    for name in sorted(set(values["parent"]) | set(values["change"])):
+        parent, change = (statistics.median(values[side][name]) if name in values[side] else None
+                          for side in SIDES)
         rel = (change - parent) / parent if parent and change is not None else None
         metrics[name] = {"parent": parent, "change": change, "change_rel": rel}
-    runs = {side: {k: v for k, v in traced[side].items() if k != "metrics"} for side in SIDES}
-    return {"runs": runs, "metrics": metrics}
+    return {"runs": traced, "metrics": metrics}
+
+
+def alternate(trees: dict, workloads: list[str], pairs: int, seed: int, seconds: float,
+              trace: int) -> dict:
+    """``pairs`` pairs of runs per workload, the side that goes first
+    alternating from pair to pair; each workload's runs in order."""
+    runs: dict[str, list] = {w: [] for w in workloads}
+    for pair in range(pairs):
+        order = SIDES if pair % 2 == 0 else SIDES[::-1]
+        for workload in workloads:
+            for side in order:
+                result = run_once(trees[side], workload, seed, seconds, trace)
+                runs[workload].append({"pair": pair, "side": side, **result})
+                shown = result.get("metrics", {}).get("wall_s", result.get("error", "ok"))
+                label = "traced pair" if trace else "pair"
+                print(f"{label} {pair} {workload} {side}: {shown}", file=sys.stderr)
+    return runs
 
 
 def main(argv=None) -> int:
@@ -137,21 +159,8 @@ def main(argv=None) -> int:
     workloads = args.workload or [w["name"] for w in spec["workloads"]]
     seconds = spec["run_seconds"]
 
-    runs: dict[str, list] = {w: [] for w in workloads}
-    for pair in range(args.pairs):
-        order = SIDES if pair % 2 == 0 else SIDES[::-1]
-        for workload in workloads:
-            for side in order:
-                result = run_once(trees[side], workload, args.seed, seconds)
-                runs[workload].append({"pair": pair, "side": side, **result})
-                shown = result.get("metrics", {}).get("wall_s", result.get("error"))
-                print(f"pair {pair} {workload} {side}: {shown}", file=sys.stderr)
-    traced = {w: {} for w in workloads}
-    for workload in workloads:
-        for side in SIDES:
-            result = run_once(trees[side], workload, args.seed, seconds, trace=1)
-            traced[workload][side] = result
-            print(f"traced {workload} {side}: {result.get('error', 'ok')}", file=sys.stderr)
+    runs = alternate(trees, workloads, args.pairs, args.seed, seconds, trace=0)
+    traced = alternate(trees, workloads, TRACED_PAIRS, args.seed, seconds, trace=1)
 
     report = {
         "environment": {
@@ -162,7 +171,7 @@ def main(argv=None) -> int:
         },
         "revisions": {side: revision(tree) for side, tree in trees.items()},
         "settings": {"pairs": args.pairs, "run_seconds": seconds, "seed": args.seed,
-                     "traced_runs_per_side": 1},
+                     "traced_runs_per_side": TRACED_PAIRS},
         "workloads": {
             w: {"metrics": summarize(runs[w], spec["end_to_end"]), "runs": runs[w],
                 "per_layer": per_layer(traced[w])}

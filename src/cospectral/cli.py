@@ -120,11 +120,9 @@ def _cmd_sample(args) -> int:
     if args.family == "percolation":
         sample = sample_bernoulli_percolation(args.p, args.window, args.seed)
         _emit(sample_to_json(sample), args.out)
-    elif args.family == "permutation":
+    else:
         oracle = permutation_stabilizer_oracle(args.n, args.d, args.seed)
         _emit(sample_to_json(oracle), args.out)
-    else:
-        raise ValidationError(f"unknown sample family {args.family!r}")
     return 0
 
 
@@ -137,45 +135,51 @@ def _load_graphing(path: str):
     return graphing_from_text(text)
 
 
-def _cmd_graphing(args) -> int:
-    if args.graphing_cmd == "mtp":
-        g = _load_graphing(args.file)
-        kernel = random_kernel(g, args.seed, density=args.density)
-        lhs, rhs = mtp_check(g, kernel)
-        _emit({"lhs": lhs, "rhs": rhs, "difference": lhs - rhs, "kernel_entries": len(kernel)}, args.out)
-    elif args.graphing_cmd == "rokhlin":
-        g = _load_graphing(args.file)
-        part = rokhlin_partition(g, args.delta, class_cap=args.class_cap)
-        payload = part.to_json()
-        payload["B_weight"] = float(g.weights[list(part.B)].sum()) if part.B else 0.0
-        payload["delta"] = args.delta
-        _emit(payload, args.out)
-    elif args.graphing_cmd == "embedded":
-        g = _load_graphing(args.file)
-        subset = parse_int_set(args.subset) if args.subset else list(range(g.n_points))
-        value = embedded_spectral_radius(g, subset)
-        _emit({"embedded_spectral_radius": value, "subset_size": len(subset)}, args.out)
-    elif args.graphing_cmd == "testfn":
-        oracle = parse_oracle_spec(args.oracle, seed=args.seed)
-        ball = generate_ball(oracle, args.radius, vertex_cap=args.cap)
-        component, defect = folner_search(ball)
-        x2 = _load_graphing(args.x2)
-        decomposition = orbit_decomposition(x2)
-        biggest = max(decomposition.components, key=len)
-        interior = interior_of(x2, biggest)
-        if len(interior) == 0:
-            raise ValidationError(
-                "the largest orbit component of the factor system has empty interior"
-            )
-        values = np.zeros(x2.n_points)
-        values[interior] = 1.0
-        f2 = TestFunction(values, tuple(biggest))
-        _, report = product_test_function(ball, component.subset, x2, f2)
-        payload = report.to_json()
-        payload["folner_search_defect"] = defect
-        _emit(payload, args.out)
-    else:
-        raise ValidationError(f"unknown graphing subcommand {args.graphing_cmd!r}")
+def _cmd_mtp(args) -> int:
+    g = _load_graphing(args.file)
+    kernel = random_kernel(g, args.seed, density=args.density)
+    lhs, rhs = mtp_check(g, kernel)
+    _emit({"lhs": lhs, "rhs": rhs, "difference": lhs - rhs, "kernel_entries": len(kernel)}, args.out)
+    return 0
+
+
+def _cmd_rokhlin(args) -> int:
+    g = _load_graphing(args.file)
+    part = rokhlin_partition(g, args.delta, class_cap=args.class_cap)
+    payload = part.to_json()
+    payload["B_weight"] = float(g.weights[list(part.B)].sum()) if part.B else 0.0
+    payload["delta"] = args.delta
+    _emit(payload, args.out)
+    return 0
+
+
+def _cmd_embedded(args) -> int:
+    g = _load_graphing(args.file)
+    subset = parse_int_set(args.subset) if args.subset else list(range(g.n_points))
+    value = embedded_spectral_radius(g, subset)
+    _emit({"embedded_spectral_radius": value, "subset_size": len(subset)}, args.out)
+    return 0
+
+
+def _cmd_testfn(args) -> int:
+    oracle = parse_oracle_spec(args.oracle, seed=args.seed)
+    ball = generate_ball(oracle, args.radius, vertex_cap=args.cap)
+    component, defect = folner_search(ball)
+    x2 = _load_graphing(args.x2)
+    decomposition = orbit_decomposition(x2)
+    biggest = max(decomposition.components, key=len)
+    interior = interior_of(x2, biggest)
+    if len(interior) == 0:
+        raise ValidationError(
+            "the largest orbit component of the factor system has empty interior"
+        )
+    values = np.zeros(x2.n_points)
+    values[interior] = 1.0
+    f2 = TestFunction(values, tuple(biggest))
+    _, report = product_test_function(ball, component.subset, x2, f2)
+    payload = report.to_json()
+    payload["folner_search_defect"] = defect
+    _emit(payload, args.out)
     return 0
 
 
@@ -267,20 +271,20 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--seed", type=int, default=0)
     q.add_argument("--density", type=float, default=0.5)
     q.add_argument("--out", default=None)
-    q.set_defaults(fn=_cmd_graphing)
+    q.set_defaults(fn=_cmd_mtp)
 
     q = gsub.add_parser("rokhlin", help="Rokhlin-type partition")
     q.add_argument("--file", required=True)
     q.add_argument("--delta", type=float, required=True)
     q.add_argument("--class-cap", type=int, default=64, dest="class_cap")
     q.add_argument("--out", default=None)
-    q.set_defaults(fn=_cmd_graphing)
+    q.set_defaults(fn=_cmd_rokhlin)
 
     q = gsub.add_parser("embedded", help="embedded spectral radius of a subset")
     q.add_argument("--file", required=True)
     q.add_argument("--subset", default=None, help="e.g. '0..6|9'")
     q.add_argument("--out", default=None)
-    q.set_defaults(fn=_cmd_graphing)
+    q.set_defaults(fn=_cmd_embedded)
 
     q = gsub.add_parser("testfn", help="product test function report")
     q.add_argument("--oracle", required=True)
@@ -289,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--seed", type=int, default=None)
     q.add_argument("--cap", type=int, default=DEFAULT_VERTEX_CAP)
     q.add_argument("--out", default=None)
-    q.set_defaults(fn=_cmd_graphing)
+    q.set_defaults(fn=_cmd_testfn)
 
     p = sub.add_parser("experiment", help="run a configured experiment")
     p.add_argument("name", choices=sorted(EXPERIMENTS))

@@ -202,6 +202,7 @@ def mtp_check(g: Graphing, kernel: Kernel) -> tuple[float, float]:
 
     Kernel values off the relation are treated as 0.  For measure-preserving
     graphings the two sides agree (weights are constant along orbits).
+    A mapping kernel's keys must be pairs of points of the graphing.
     """
     dec = orbit_decomposition(g)
     w = g.weights
@@ -209,6 +210,8 @@ def mtp_check(g: Graphing, kernel: Kernel) -> tuple[float, float]:
     rhs = 0.0
     if isinstance(kernel, Mapping):
         for (x, y), value in kernel.items():
+            if not (0 <= x < g.n_points and 0 <= y < g.n_points):
+                raise ValidationError(f"kernel key {(x, y)!r} outside the graphing")
             if dec.component_of[x] != dec.component_of[y]:
                 continue
             lhs += w[x] * value
@@ -247,9 +250,9 @@ class RokhlinPartition:
 def _single_map_classes(n: int, phi: dict[int, int], cap: int):
     """Class labels for one map: chain parity, fixed points, cycle phases.
 
-    Returns (labels, absorbed) where labels[x] is a hashable class key and
-    ``absorbed`` collects points of odd cycles longer than the cap (they go
-    to the B part).
+    Returns (labels, long) where labels[x] is a hashable class key and
+    ``long`` collects the points of odd cycles longer than the cap, the
+    candidates for the B part.
     """
     preimage = {v: u for u, v in phi.items()}
     steps_left: dict[int, int] = {}
@@ -266,7 +269,7 @@ def _single_map_classes(n: int, phi: dict[int, int], cap: int):
             steps_left[cur] = k
 
     labels: dict[int, object] = {}
-    absorbed: set[int] = set()
+    long: set[int] = set()
     for x, k in steps_left.items():
         labels[x] = ("chain", k % 2)
 
@@ -288,12 +291,12 @@ def _single_map_classes(n: int, phi: dict[int, int], cap: int):
         elif length % 2 == 0:
             for offset, x in enumerate(cycle):
                 labels[x] = ("chain", (offset - anchor) % 2)
-        elif length <= cap:
+        else:
             for offset, x in enumerate(cycle):
                 labels[x] = ("odd", length, (offset - anchor) % length)
-        else:
-            absorbed.update(cycle)
-    return labels, absorbed
+            if length > cap:
+                long.update(cycle)
+    return labels, long
 
 
 def rokhlin_partition(g: Graphing, delta: float, class_cap: int = 64) -> RokhlinPartition:
@@ -301,37 +304,30 @@ def rokhlin_partition(g: Graphing, delta: float, class_cap: int = 64) -> Rokhlin
 
     Per map pair, chains are 2-colored by exit parity, even cycles 2-colored
     by phase parity, fixed points pooled, and odd cycles get one class per
-    phase; odd periods above ``class_cap`` are absorbed into B.  Per-map
-    partitions combine by common refinement.  If B would weigh more than
-    delta, the cap is raised to the point count, after which B is empty
-    (finite systems always succeed).
+    phase.  The points on odd cycles longer than ``class_cap`` form B when
+    they weigh at most delta; otherwise B is empty and they keep their phase
+    classes (finite systems always succeed).  Per-map partitions combine by
+    common refinement of the points outside B.
     """
     if delta <= 0:
         raise ValidationError(f"delta must be positive, got {delta}")
-    n = g.n_points
-
-    pair_reps = [i for i, j in enumerate(g.inv_index) if i <= j]
-
-    def build(cap: int) -> RokhlinPartition:
-        all_labels = []
-        b_points: set[int] = set()
-        for i in pair_reps:
-            labels, absorbed = _single_map_classes(n, g.maps[i].mapping, cap)
+    all_labels = []
+    long: set[int] = set()
+    for i, j in enumerate(g.inv_index):
+        if i <= j:
+            labels, points = _single_map_classes(g.n_points, g.maps[i].mapping, class_cap)
             all_labels.append(labels)
-            b_points |= absorbed
-        groups: dict[tuple, list[int]] = {}
-        for x in range(n):
-            if x in b_points:
-                continue
-            key = tuple(lab[x] for lab in all_labels)
-            groups.setdefault(key, []).append(x)
-        classes = sorted((tuple(sorted(v)) for v in groups.values()), key=lambda c: c[0])
-        return RokhlinPartition(tuple(sorted(b_points)), tuple(classes))
-
-    part = build(class_cap)
-    if part.B and float(g.weights[list(part.B)].sum()) > delta:
-        part = build(n)  # n bounds every period, so nothing is absorbed
-    return part
+            long |= points
+    b_part = tuple(sorted(long))
+    if float(g.weights[list(b_part)].sum()) > delta:
+        b_part = ()
+    outside = sorted(set(range(g.n_points)).difference(b_part))
+    keys = zip(*([lab[x] for x in outside] for lab in all_labels))
+    groups: dict[tuple, list[int]] = {}
+    for x, key in zip(outside, keys):
+        groups.setdefault(key, []).append(x)
+    classes = sorted((tuple(v) for v in groups.values()), key=lambda c: c[0])
+    return RokhlinPartition(b_part, tuple(classes))
 
 
 def check_rokhlin(g: Graphing, part: RokhlinPartition, delta: float) -> bool:
@@ -385,6 +381,8 @@ def cesaro_average(g: Graphing, f: np.ndarray, m: int) -> np.ndarray:
     if m < 1:
         raise ValidationError(f"m must be >= 1, got {m}")
     f = np.asarray(f, dtype=float)
+    if f.shape != (g.n_points,):
+        raise ValidationError(f"function must have shape ({g.n_points},)")
     acc = f.copy()
     cur = f
     for _ in range(m - 1):
@@ -438,7 +436,6 @@ class ProductTestReport:
     inequality_holds: bool
     component_shares: tuple[float, ...]
     product: "Graphing"
-    pairs: tuple[tuple[int, int], ...]
 
     def to_json(self) -> dict:
         return {
@@ -464,7 +461,12 @@ def product_test_function(
 
     F is a set of ball indices of ``x1_ball`` (map ids through
     ``x1_ball.index``).  The factor system's maps must align with the ball's letters (2d maps in
-    slot order, inverse-closed accordingly).  The report carries
+    slot order, inverse-closed accordingly).  The product's point i * n2 + j
+    is the pair of ball vertex i and factor point j; its slot-s map sends it
+    to nbr[i, s] * n2 + phi_s(j) wherever both are defined, rim targets
+    skipped.  f is f2[j] at i * n2 + j for i in F and 0 elsewhere, with the
+    pairs of F and its outer boundary in the ball with f2's component as its
+    component.  The report carries
     lambda2' = 1 - <(I-M)f2, f2>/|f2|^2, the exact product energy
     <(I-M)f, f>, the bound (1 - lambda2' + |S| eps1) |f|^2 with eps1 the
     exact Folner defect of F, and the norm share of f on each orbit
@@ -492,38 +494,25 @@ def product_test_function(
 
     n1 = x1_ball.n_vertices
     n2 = x2.n_points
-    pairs = tuple((i, j) for i in range(n1) for j in range(n2))
-    pair_index = {p: k for k, p in enumerate(pairs)}
     weights = np.tile(x2.weights, n1)
 
     maps = []
-    nbr = x1_ball.nbr
     for slot in range(width):
-        m2 = x2.maps[slot]
-        mapping = {}
-        for i in range(n1):
-            t = int(nbr[i, slot])
-            if t >= n1:
-                continue
-            for j, j2 in m2.mapping.items():
-                mapping[pair_index[(i, j)]] = pair_index[(t, j2)]
-        maps.append(PartialMap(f"slot{slot}", mapping))
+        targets = x1_ball.nbr[:, slot].astype(np.int64)
+        sources = np.flatnonzero(targets < n1)
+        arrows = np.array(list(x2.maps[slot].mapping.items()), dtype=np.int64).reshape(-1, 2)
+        src = (sources[:, None] * n2 + arrows[:, 0]).ravel().tolist()
+        dst = (targets[sources, None] * n2 + arrows[:, 1]).ravel().tolist()
+        maps.append(PartialMap(f"slot{slot}", dict(zip(src, dst))))
     product = Graphing(weights, maps)
 
-    values = np.zeros(len(pairs))
     in_f = np.zeros(n1, dtype=bool)
     in_f[f_idx] = True
-    for k, (i, j) in enumerate(pairs):
-        if in_f[i]:
-            values[k] = f2.values[j]
+    values = np.where(in_f[:, None], f2.values, 0.0).ravel()
 
     boundary = interior_boundary(x1_ball, f_idx)
-    halo = set(f_idx.tolist()) | {
-        int(b) for b in boundary.outer_boundary if int(b) < n1
-    }
-    component = tuple(
-        pair_index[(i, j)] for i in sorted(halo) for j in f2.component
-    )
+    halo = np.union1d(f_idx, boundary.outer_boundary[boundary.outer_boundary < n1])
+    component = (halo[:, None] * n2 + np.array(f2.component, dtype=np.int64)).ravel().tolist()
     f = TestFunction(values, component)
     validate_test_function(product, f)
 
@@ -560,7 +549,6 @@ def product_test_function(
         inequality_holds=slack >= -1e-9,
         component_shares=tuple(shares),
         product=product,
-        pairs=pairs,
     )
     return f, report
 

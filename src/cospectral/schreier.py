@@ -298,28 +298,31 @@ class SchreierBall:
     one step beyond the radius, in discovery order.  Rim indices appear
     only as ``nbr`` targets; their own neighbors are unknown.  ``dist_full``
     holds the distances of all of them (``dist`` is its ball prefix).
-    The ball keeps the coset code rows of all of them in index order
-    (``codes``) and ``decode``, which turns one row (a list of Python ints)
-    into its coset id.  ``ids``, ``outer_ids`` and ``index`` (every stored
-    id, rim included, to its index) decode every row on first access;
-    ``id_of`` decodes one row until then, since the spectral and path-count
+    The ball keeps the packed keys of their coset code rows in index order
+    (``keys``), the ``unpack`` that turns keys back into rows and
+    ``decode``, which turns one row (a list of Python ints) into its coset
+    id.  ``ids``, ``outer_ids`` and ``index`` (every stored id, rim
+    included, to its index) decode every key on first access; ``id_of``
+    decodes one key until then, since the spectral and path-count
     code reads only the tables and a Folner set is a small share of the
     ball.
     """
 
-    def __init__(self, oracle, radius, dist_full, nbr, codes: np.ndarray,
+    def __init__(self, oracle, radius, dist_full, nbr, keys: np.ndarray,
+                 unpack: Callable[[np.ndarray], np.ndarray],
                  decode: Callable[[list], object]):
         self.oracle = oracle
         self.radius = radius
         self.dist_full = np.asarray(dist_full, dtype=np.int32)
         self.dist = self.dist_full[: len(nbr)]
         self.nbr = nbr
-        self._codes = codes
+        self._keys = keys
+        self._unpack = unpack
         self._decode = decode
 
     @cached_property
     def _all_ids(self) -> list:
-        return [self._decode(row) for row in self._codes.tolist()]
+        return [self._decode(row) for row in self._unpack(self._keys).tolist()]
 
     @cached_property
     def ids(self) -> list:
@@ -345,7 +348,7 @@ class SchreierBall:
         """The coset id of one stored vertex, ball or rim."""
         if "_all_ids" in vars(self):
             return self._all_ids[index]
-        return self._decode(self._codes[index].tolist())
+        return self._decode(self._unpack(self._keys[index : index + 1])[0].tolist())
 
     def indices_of(self, vertices: Iterable) -> np.ndarray:
         """Sorted ball indices of a vertex set given as ball indices: Python
@@ -413,15 +416,14 @@ def generate_ball(
     # where a stable sort (timsort) is fastest; on packed keys a quicksort
     # is about twice as fast
     stable = len(coder.sizes) == 1
-    layers = [np.array([coder.root], dtype=np.int64)]  # code rows in index order
-    keys = [pack(layers[0])]  # the keys of the last two layers
+    layer = np.array([coder.root], dtype=np.int64)  # the code rows of layer k
+    keys = [pack(layer)]  # the keys of every layer, in index order
     rows = []
     low, start = 0, 1  # layers k-1 and k hold the indices [low, start)
     for k in range(radius + 1):
-        layer = layers[-1]
         if not len(layer):
             break
-        known = np.concatenate(keys)
+        known = np.concatenate(keys[-2:])
         targets = coder.step(layer).reshape(-1, len(coder.sizes))
         unique, first, inverse = _first_seen(np.concatenate([known, pack(targets)]), stable)
         fresh = np.flatnonzero(first >= len(known))
@@ -435,14 +437,14 @@ def generate_ball(
         index = low + first  # a known key's index; fresh ones overwritten
         index[fresh] = np.arange(start, start + len(fresh))
         rows.append(index[inverse[len(known) :]].astype(np.int32).reshape(-1, width))
-        keys = [keys[-1], unique[fresh]]
-        layers.append(unpack(keys[-1]))
         low, start = start - len(layer), start + len(fresh)
+        keys.append(unique[fresh])
+        layer = unpack(keys[-1])
 
-    dist = np.repeat(np.arange(len(layers), dtype=np.int32), [len(l) for l in layers])
+    dist = np.repeat(np.arange(len(keys), dtype=np.int32), list(map(len, keys)))
     # the decoder, not the coder: an interning index must not outlive the BFS
-    return SchreierBall(oracle, radius, dist, np.concatenate(rows), np.concatenate(layers),
-                        coder.decode)
+    return SchreierBall(oracle, radius, dist, np.concatenate(rows), np.concatenate(keys),
+                        unpack, coder.decode)
 
 
 def _first_seen(values: np.ndarray, stable: bool):

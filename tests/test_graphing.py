@@ -25,7 +25,7 @@ from cospectral.graphing import (
     validate_test_function,
 )
 from cospectral.irs import PermutationStabilizerOracle
-from cospectral.schreier import generate_ball
+from cospectral.schreier import generate_ball, trivial_subgroup_oracle
 
 
 def cycle_graphing(n, weights=None):
@@ -89,6 +89,13 @@ def test_mtp_kernel_off_relation_ignored():
     assert lhs == 1.0 and rhs == 1.0
 
 
+def test_mtp_rejects_kernel_keys_outside_the_graphing():
+    g = cycle_graphing(3)
+    for key in [(-2, 1), (0, 5), (3, 0)]:
+        with pytest.raises(ValidationError):
+            mtp_check(g, {key: 1.0})
+
+
 def test_rokhlin_even_cycle():
     g = cycle_graphing(12)
     part = rokhlin_partition(g, 0.01)
@@ -134,6 +141,50 @@ def test_rokhlin_large_odd_cycle_raises_cap():
     assert part.B == ()
     assert part.n_classes == 101
     assert check_rokhlin(g, part, 0.1)
+
+
+def test_rokhlin_light_long_cycle_forms_b():
+    # a light 101-cycle (0..100) and a heavy 4-cycle (101..104) in one map
+    cycle = {i: (i + 1) % 101 for i in range(101)}
+    cycle.update({101 + i: 101 + (i + 1) % 4 for i in range(4)})
+    g = Graphing.from_pairs([1e-4] * 101 + [1.0] * 4, [("r", cycle)])
+    part = rokhlin_partition(g, 0.1)  # the 101-cycle weighs 0.0101
+    assert part.B == tuple(range(101))
+    assert part.classes == ((101, 103), (102, 104))
+    assert check_rokhlin(g, part, 0.1)
+    heavy = rokhlin_partition(g, 0.01)
+    assert heavy.B == ()
+    assert heavy.n_classes == 103
+    assert check_rokhlin(g, heavy, 0.01)
+
+
+def _long_odd_cycle_points(g, cap):
+    """Points on an odd cycle longer than cap of some map, by walking each
+    point's forward orbit under each map."""
+    out = set()
+    for m in g.maps:
+        for x in range(g.n_points):
+            y, length = m.mapping.get(x), 1
+            while y is not None and y != x:
+                y, length = m.mapping.get(y), length + 1
+            if y == x and length % 2 and length > cap:
+                out.add(x)
+    return out
+
+
+def test_rokhlin_b_is_exactly_the_light_long_odd_cycles():
+    nonempty = 0
+    for seed in range(60):
+        g = random_graphing(seed + 1300, max_points=80)
+        for cap in (1, 3, 64):
+            long = tuple(sorted(_long_odd_cycle_points(g, cap)))
+            weight = float(g.weights[list(long)].sum())
+            for delta in (0.01, 0.1, 100):
+                part = rokhlin_partition(g, delta, class_cap=cap)
+                assert part.B == (long if weight <= delta else ())
+                assert check_rokhlin(g, part, delta)
+                nonempty += bool(part.B)
+    assert nonempty
 
 
 def test_rokhlin_fifty_random_graphings_exact():
@@ -252,6 +303,12 @@ def test_cesaro_validates_m():
         cesaro_average(cycle_graphing(4), np.zeros(4), 0)
 
 
+def test_cesaro_checks_the_shape_of_f():
+    for m in (1, 4):
+        with pytest.raises(ValidationError):
+            cesaro_average(cycle_graphing(3), np.ones(7), m)
+
+
 def _two_point_swap():
     swap = {0: 1, 1: 0}
     return Graphing([1.0, 1.0], [("swap", swap), ("swap~", swap)])
@@ -316,6 +373,30 @@ def test_product_test_function_random_pairs_nonnegative_slack():
         f, report = product_test_function(ball, interval, x2, f2)
         assert report.slack >= -1e-9
         assert report.lhs == pytest.approx(naive_energy(report.product, f.values), abs=1e-9)
+
+
+def test_product_test_function_pair_layout_on_tree_ball():
+    ball = generate_ball(trivial_subgroup_oracle(2), 3)
+    nbr, n1, n2 = ball.nbr, ball.n_vertices, 5
+    a = {i: (i + 1) % n2 for i in range(n2)}
+    b = {0: 2, 2: 3, 3: 0}  # undefined at 1 and 4
+    phi = [a, b, {y: x for x, y in a.items()}, {y: x for x, y in b.items()}]
+    x2 = Graphing([1.0] * n2, list(zip("abAB", phi)))
+    f2 = TestFunction(np.linspace(0.5, 1.5, n2), tuple(range(n2)))
+    in_f = ball.dist <= 1
+    f, report = product_test_function(ball, np.flatnonzero(in_f), x2, f2)
+    for i in range(n1):
+        for j in range(n2):
+            assert f.values[i * n2 + j] == (f2.values[j] if in_f[i] else 0.0)
+    assert (nbr >= n1).any()  # the rim targets the product must skip
+    for s, m in enumerate(report.product.maps[:4]):
+        assert m.mapping == {
+            i * n2 + j: int(nbr[i, s]) * n2 + phi[s][j]
+            for i in range(n1) if nbr[i, s] < n1 for j in phi[s]
+        }
+    halo = np.flatnonzero(ball.dist <= 2)  # F and its outer boundary
+    assert f.component == tuple(i * n2 + j for i in halo for j in range(n2))
+    assert report.inequality_holds
 
 
 def test_product_test_function_support_violation_rejected():

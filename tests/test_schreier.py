@@ -426,6 +426,17 @@ def test_folner_subset_decodes_only_its_rows():
     assert ids == [ball.ids[i] for i in component.subset]
 
 
+def test_ball_keeps_one_packed_key_per_vertex():
+    oracle = wreath_percolation_oracle(sample_bernoulli_percolation(0.5, 40, 7))
+    ball = generate_ball(oracle, 4)  # 10 code columns per vertex
+    stored = len(ball.dist_full)
+    assert ball._keys.shape == (stored,) and ball._keys.itemsize <= 16
+    one_by_one = [ball.id_of(i) for i in range(stored)]
+    assert one_by_one == ball.ids + ball.outer_ids
+    tree = generate_ball(trivial_subgroup_oracle(2), 3)
+    assert tree._keys.shape == (len(tree.dist_full),) and tree._keys.dtype == np.int64
+
+
 def test_indices_of_rejects_rim_ids():
     ball = generate_ball(trivial_subgroup_oracle(2), 1)
     rim_id = ball.outer_ids[0]
