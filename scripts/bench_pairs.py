@@ -17,7 +17,10 @@ metric, each side's median and quartiles, the relative change of the
 medians, and the number of pairs the change won; per workload and per-layer
 metric, each side's median over its traced runs and the relative change of
 the medians; with the CPU count, the Python and numpy versions, and what
-pins each tree's code (see ``revision``).
+pins each tree's code (see ``revision``).  A run whose result line has
+``correct: false`` or ``failed > 0`` is kept in the file but left out of
+every median and pair win; each side's count of such runs is recorded per
+workload (``unsound_runs``), for the end-to-end and for the traced runs.
 """
 
 from __future__ import annotations
@@ -75,6 +78,17 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int = 
     return result
 
 
+def sound(run: dict) -> bool:
+    """Whether a run finished with every check passing and no failed operation."""
+    return "metrics" in run and run.get("correct") is True and run.get("failed") == 0
+
+
+def unsound(runs: list[dict]) -> dict:
+    """Each side's count of runs that finished but are not ``sound``."""
+    return {side: sum(run["side"] == side and "metrics" in run and not sound(run) for run in runs)
+            for side in SIDES}
+
+
 def spread(values: list[float]) -> dict:
     if len(values) < 2:
         q1 = median = q3 = values[0] if values else None
@@ -84,10 +98,11 @@ def spread(values: list[float]) -> dict:
 
 
 def summarize(runs: list[dict], metrics: list[dict]) -> dict:
-    """Per metric: each side's spread, the median change and the pair wins."""
+    """Per metric: each side's spread, the median change and the pair wins,
+    over the pairs whose two runs are both ``sound``."""
     pairs = {}
     for run in runs:
-        if "metrics" in run:
+        if sound(run):
             pairs.setdefault(run["pair"], {})[run["side"]] = run["metrics"]
     complete = [p for p in pairs.values() if len(p) == 2]
     out = {}
@@ -108,12 +123,13 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
 
 
 def per_layer(traced: list[dict]) -> dict:
-    """Every traced run, and per metric each side's median over its runs and
-    the relative change of the medians (None where a side has no run that
-    succeeded or the parent's median is 0)."""
+    """Every traced run, each side's count of runs that are not ``sound``,
+    and per metric each side's median over its sound runs and the relative
+    change of the medians (None where a side has no sound run or the
+    parent's median is 0)."""
     values = {side: {} for side in SIDES}
-    for run in traced:
-        for name, value in run.get("metrics", {}).items():
+    for run in filter(sound, traced):
+        for name, value in run["metrics"].items():
             values[run["side"]].setdefault(name, []).append(value)
     metrics = {}
     for name in sorted(set(values["parent"]) | set(values["change"])):
@@ -121,7 +137,7 @@ def per_layer(traced: list[dict]) -> dict:
                           for side in SIDES)
         rel = (change - parent) / parent if parent and change is not None else None
         metrics[name] = {"parent": parent, "change": change, "change_rel": rel}
-    return {"runs": traced, "metrics": metrics}
+    return {"runs": traced, "unsound_runs": unsound(traced), "metrics": metrics}
 
 
 def alternate(trees: dict, workloads: list[str], pairs: int, seed: int, seconds: float,
@@ -174,7 +190,7 @@ def main(argv=None) -> int:
                      "traced_runs_per_side": TRACED_PAIRS},
         "workloads": {
             w: {"metrics": summarize(runs[w], spec["end_to_end"]), "runs": runs[w],
-                "per_layer": per_layer(traced[w])}
+                "unsound_runs": unsound(runs[w]), "per_layer": per_layer(traced[w])}
             for w in workloads
         },
     }

@@ -202,20 +202,27 @@ def mtp_check(g: Graphing, kernel: Kernel) -> tuple[float, float]:
 
     Kernel values off the relation are treated as 0.  For measure-preserving
     graphings the two sides agree (weights are constant along orbits).
-    A mapping kernel's keys must be pairs of points of the graphing.
+    A mapping kernel's keys must be pairs of points of the graphing, as
+    integers (not bools).
     """
     dec = orbit_decomposition(g)
     w = g.weights
     lhs = 0.0
     rhs = 0.0
     if isinstance(kernel, Mapping):
-        for (x, y), value in kernel.items():
-            if not (0 <= x < g.n_points and 0 <= y < g.n_points):
-                raise ValidationError(f"kernel key {(x, y)!r} outside the graphing")
-            if dec.component_of[x] != dec.component_of[y]:
+        n, points = g.n_points, (int, np.integer)
+        # np.float64 weights, so that float32 kernel values still sum in float64
+        component, weight = dec.component_of.tolist(), list(w)
+        for key, value in kernel.items():
+            x, y = key if type(key) is tuple and len(key) == 2 else (None, None)
+            if isinstance(x, bool) or isinstance(y, bool) or not (
+                isinstance(x, points) and isinstance(y, points) and 0 <= x < n and 0 <= y < n
+            ):
+                raise ValidationError(f"kernel key {key!r} is not a pair of points of the graphing")
+            if component[x] != component[y]:
                 continue
-            lhs += w[x] * value
-            rhs += w[y] * value
+            lhs += weight[x] * value
+            rhs += weight[y] * value
     else:
         for members in dec.components:
             for x in members:

@@ -8,7 +8,6 @@ identical parameters and seed reproduce identical oracles bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -143,7 +142,7 @@ class WreathPercolationOracle(SubgroupOracle):
         lamp letters are loops there.  None when a shift in the range
         leaves [-W, W] (``act`` raises there) or a column passes
         ``CODE_LIMIT``."""
-        support, center = root
+        center = root[1]
         if abs(center) + radius + 1 > self.sample.window:
             return None
         sites = range(center - radius, center + radius + 1)
@@ -169,28 +168,7 @@ class WreathPercolationOracle(SubgroupOracle):
             out[at[:, None], lamp_slots, col[:, None]] = np.where(looped[col][:, None], u, pushed)
             return out
 
-        def decode(row: list) -> tuple:
-            entries = dict(support)
-            for x, u in zip(sites, row[1:]):
-                if not u:
-                    continue
-                word = list(entries.get(x, ()))
-                lamps = []
-                while u:
-                    u, digit = divmod(u - 1, 4)
-                    lamps.append(_LAMP_LETTERS[digit])
-                for lamp in reversed(lamps):
-                    if word and word[-1] == -lamp:
-                        word.pop()
-                    else:
-                        word.append(lamp)
-                if word:
-                    entries[x] = tuple(word)
-                else:
-                    entries.pop(x, None)
-            return (tuple(sorted(entries.items())), row[0] + center - radius - 1)
-
-        return CosetCoder((radius + 1,) + (0,) * len(sites), sizes, step, decode)
+        return CosetCoder((radius + 1,) + (0,) * len(sites), sizes, step)
 
     def membership(self, element) -> bool:
         """An element (f, n) lies in H_A iff n = 0 and supp f is inside A."""
@@ -213,9 +191,6 @@ class WreathPercolationOracle(SubgroupOracle):
             f"{pos}:" + "".join(_lamp_char(l) for l in word) for pos, word in support
         )
         return f"({body}; {shift})"
-
-
-_LAMP_LETTERS = (1, 2, -1, -2)  # the lamp letter of each digit a, b, A, B
 
 
 def _lamp_char(letter: int) -> str:
@@ -262,8 +237,7 @@ class PermutationStabilizerOracle(SubgroupOracle):
     def coder(self, root: int, radius: int) -> CosetCoder:
         """Codes are the points, stepped through one (n_points, 2d) table."""
         table = np.stack(self.perms + self.inverse_perms, axis=1)
-        return CosetCoder((int(root),), (self.n_points,), lambda rows: table[rows[:, 0], :, None],
-                          itemgetter(0))
+        return CosetCoder((int(root),), (self.n_points,), lambda rows: table[rows[:, 0], :, None])
 
     def orbit_of_root(self) -> list[int]:
         # the orbit has at most n_points points, so radius n_points - 1
@@ -304,10 +278,8 @@ class ZKernelOracle(SubgroupOracle):
         span = max(abs(w) for w in self.weights) * (radius + 1)
         if 2 * span + 1 > CODE_LIMIT:
             return None
-        shift = span - root
         steps = np.array(self.weights + tuple(-w for w in self.weights), dtype=np.int64)
-        return CosetCoder((span,), (2 * span + 1,), lambda rows: (rows + steps)[:, :, None],
-                          lambda row: row[0] - shift)
+        return CosetCoder((span,), (2 * span + 1,), lambda rows: (rows + steps)[:, :, None])
 
     def membership(self, word: Word) -> bool:
         total = 0

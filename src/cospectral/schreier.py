@@ -7,8 +7,9 @@ targets one step beyond the radius form the outer rim, which one BFS stores
 after the ball in the same vertex numbering, so that interiors, boundaries
 and Folner defects are exact even at the rim.
 
-Every ball is built one BFS layer at a time by numpy over int64 coset codes,
-and coset ids are decoded only when read.  Every family in the package can
+Every ball is built one BFS layer at a time by numpy over int64 coset codes
+and stores only its tables; coset ids are rebuilt by replaying ``act``
+along the BFS tree when first read.  Every family in the package can
 number its cosets (Stallings, exponent-sum kernels, permutation
 stabilizers, wreath percolation, and products and reroots of these) and
 gives its own ``CosetCoder``, whose code rows may span several int64
@@ -64,16 +65,15 @@ class CosetCoder(NamedTuple):
     A code is a row of k integers, column j in [0, sizes[j]), each size at
     most ``CODE_LIMIT`` so that every column fits int64.  ``step(rows)``
     maps an (m, k) int64 array of the codes of cosets within distance
-    radius to the (m, 2d, k) array of their targets in slot order, and
-    ``decode(row)`` turns one code row, a list of Python ints, back into
-    the coset id.  A product's rows are its factors' rows side by side, so
-    product codes never overflow.
+    radius to the (m, 2d, k) array of their targets in slot order.  Codes
+    only number the cosets during the BFS; ids come from ``act``.  A
+    product's rows are its factors' rows side by side, so product codes
+    never overflow.
     """
 
     root: tuple[int, ...]
     sizes: tuple[int, ...]
     step: Callable[[np.ndarray], np.ndarray]
-    decode: Callable[[list], object]
 
 
 class SubgroupOracle:
@@ -88,7 +88,8 @@ class SubgroupOracle:
     every family in the package does, wreath percolation included.  Without
     one (user oracles) or when it returns None (over-wide windows),
     ``generate_ball`` numbers the cosets as ``act`` first returns them, one
-    Python call per (vertex, slot).
+    Python call per (vertex, slot).  Codes never come back as ids: a ball
+    rebuilds the ids it is asked for by replaying ``act`` from the root.
     """
 
     family: tuple
@@ -183,18 +184,10 @@ class StallingsOracle(SubgroupOracle):
             out[hanging, inverse[last]] = popped * n + states[hanging]
             return out[:, :, None]
 
-        def decode(row: list) -> bytes:
-            tail, state = divmod(row[0], n)
-            slots_back = []
-            while tail:
-                tail, slot = divmod(tail - 1, width)
-                slots_back.append(slot)
-            return state.to_bytes(4, "little") + bytes(reversed(slots_back))
-
         tail = 0
         for slot in root[4:]:
             tail = tail * width + slot + 1
-        return CosetCoder((tail * n + int.from_bytes(root[:4], "little"),), (size,), step, decode)
+        return CosetCoder((tail * n + int.from_bytes(root[:4], "little"),), (size,), step)
 
 
 def _slot_char(slot: int, d: int) -> str:
@@ -246,10 +239,7 @@ class ProductOracle(SubgroupOracle):
         def step(rows: np.ndarray) -> np.ndarray:
             return np.concatenate([c1.step(rows[:, :k1]), c2.step(rows[:, k1:])], axis=2)
 
-        def decode(row: list) -> tuple:
-            return (c1.decode(row[:k1]), c2.decode(row[k1:]))
-
-        return CosetCoder(c1.root + c2.root, c1.sizes + c2.sizes, step, decode)
+        return CosetCoder(c1.root + c2.root, c1.sizes + c2.sizes, step)
 
 
 def product_oracle(o1: SubgroupOracle, o2: SubgroupOracle) -> ProductOracle:
@@ -298,31 +288,45 @@ class SchreierBall:
     one step beyond the radius, in discovery order.  Rim indices appear
     only as ``nbr`` targets; their own neighbors are unknown.  ``dist_full``
     holds the distances of all of them (``dist`` is its ball prefix).
-    The ball keeps the packed keys of their coset code rows in index order
-    (``keys``), the ``unpack`` that turns keys back into rows and
-    ``decode``, which turns one row (a list of Python ints) into its coset
-    id.  ``ids``, ``outer_ids`` and ``index`` (every stored id, rim
-    included, to its index) decode every key on first access; ``id_of``
-    decodes one key until then, since the spectral and path-count
-    code reads only the tables and a Folner set is a small share of the
-    ball.
+
+    The ball stores no coset ids.  Every stored vertex but the root has a
+    BFS parent: its least-indexed neighbor one step closer, reached along
+    that parent's first slot into it, i.e. its first occurrence in
+    ``nbr.ravel()``.  ``_tree`` finds all of them with one
+    ``np.minimum.at`` on first use (about 25 ms on F_2's B(12), under 5% of
+    its 0.6 s BFS).  ``ids``, ``outer_ids`` and ``index`` (every
+    stored id, rim included, to its index) replay ``act`` from the root
+    along the tree on first access, one call per stored vertex; until
+    then ``id_of`` replays the path of one vertex, ``dist`` calls, since
+    the spectral and path-count code reads only the tables and a Folner
+    set is a small share of the ball.
     """
 
-    def __init__(self, oracle, radius, dist_full, nbr, keys: np.ndarray,
-                 unpack: Callable[[np.ndarray], np.ndarray],
-                 decode: Callable[[list], object]):
+    def __init__(self, oracle, radius, dist_full, nbr):
         self.oracle = oracle
         self.radius = radius
         self.dist_full = np.asarray(dist_full, dtype=np.int32)
         self.dist = self.dist_full[: len(nbr)]
         self.nbr = nbr
-        self._keys = keys
-        self._unpack = unpack
-        self._decode = decode
+
+    @cached_property
+    def _tree(self) -> np.ndarray:
+        """parent * 2d + slot for each stored vertex: its first occurrence
+        in ``nbr.ravel()`` (meaningless for the root)."""
+        flat = self.nbr.ravel()
+        dtype = np.int32 if len(flat) < 2**31 else np.int64
+        first = np.full(len(self.dist_full), len(flat), dtype=dtype)
+        np.minimum.at(first, flat, np.arange(len(flat), dtype=dtype))
+        return first
 
     @cached_property
     def _all_ids(self) -> list:
-        return [self._decode(row) for row in self._unpack(self._keys).tolist()]
+        parent, slot = np.divmod(self._tree[1:], self.nbr.shape[1])
+        act, letters = self.oracle.act, self.oracle.letters
+        ids = [self.oracle.root]
+        for p, s in zip(parent.tolist(), slot.tolist()):
+            ids.append(act(letters[s], ids[p]))  # a parent precedes its children
+        return ids
 
     @cached_property
     def ids(self) -> list:
@@ -344,11 +348,24 @@ class SchreierBall:
     def n_outer(self) -> int:
         return len(self.dist_full) - len(self.nbr)
 
+    def _path(self, index: int) -> list[int]:
+        """The letters of the BFS tree path from the root to a stored vertex."""
+        tree, width, letters = self._tree, self.nbr.shape[1], self.oracle.letters
+        path = []
+        while index != 0:
+            index, slot = divmod(int(tree[index]), width)
+            path.append(letters[slot])
+        path.reverse()
+        return path
+
     def id_of(self, index: int):
         """The coset id of one stored vertex, ball or rim."""
         if "_all_ids" in vars(self):
             return self._all_ids[index]
-        return self._decode(self._unpack(self._keys[index : index + 1])[0].tolist())
+        coset, act = self.oracle.root, self.oracle.act
+        for letter in self._path(index):
+            coset = act(letter, coset)
+        return coset
 
     def indices_of(self, vertices: Iterable) -> np.ndarray:
         """Sorted ball indices of a vertex set given as ball indices: Python
@@ -363,18 +380,8 @@ class SchreierBall:
 
     def word_to(self, index: int) -> Word:
         """A shortest word moving the root to the given ball vertex: the BFS
-        tree path.  A vertex's BFS parent is its least-indexed neighbor one
-        step closer, reached along that parent's first slot into it."""
-        index = int(self.indices_of([index])[0])
-        letters = letters_of_rank(self.oracle.d)
-        dist = self.dist_full
-        path = []
-        while index != 0:
-            row = self.nbr[index].tolist()
-            parent = min(t for t in row if dist[t] < dist[index])
-            path.append(letters[self.nbr[parent].tolist().index(index)])
-            index = parent
-        return Word(tuple(reversed(path)))
+        tree path."""
+        return Word(tuple(self._path(int(self.indices_of([index])[0]))))
 
     def summary(self) -> dict:
         return {
@@ -405,25 +412,24 @@ def generate_ball(
     (``np.unique``) over the keys of layers k-1 and k followed by layer k's
     targets finds every target: keys first seen among the known ones keep
     their index, the rest form layer k+1, numbered by first occurrence in
-    (vertex, slot) order.  Ids are decoded when read.
+    (vertex, slot) order, and their rows are the target rows at those first
+    occurrences.  Only the keys of two layers are kept, and the ball stores
+    none: ids replay ``act`` when read.
     """
     if radius < 0:
         raise ValidationError(f"radius must be >= 0, got {radius}")
     coder = oracle.coder(oracle.root, radius) or _interning_coder(oracle, vertex_cap)
     width = 2 * oracle.d
-    pack, unpack = _packer(coder.sizes)
+    pack = _packer(coder.sizes)
     # one-column codes (trees, Stallings windows) come in long sorted runs,
     # where a stable sort (timsort) is fastest; on packed keys a quicksort
     # is about twice as fast
     stable = len(coder.sizes) == 1
     layer = np.array([coder.root], dtype=np.int64)  # the code rows of layer k
-    keys = [pack(layer)]  # the keys of every layer, in index order
-    rows = []
+    known = pack(layer)  # the keys of layers k-1 and k
+    counts, rows = [1], []  # the vertex count of each layer; the nbr blocks
     low, start = 0, 1  # layers k-1 and k hold the indices [low, start)
     for k in range(radius + 1):
-        if not len(layer):
-            break
-        known = np.concatenate(keys[-2:])
         targets = coder.step(layer).reshape(-1, len(coder.sizes))
         unique, first, inverse = _first_seen(np.concatenate([known, pack(targets)]), stable)
         fresh = np.flatnonzero(first >= len(known))
@@ -437,14 +443,17 @@ def generate_ball(
         index = low + first  # a known key's index; fresh ones overwritten
         index[fresh] = np.arange(start, start + len(fresh))
         rows.append(index[inverse[len(known) :]].astype(np.int32).reshape(-1, width))
+        counts.append(len(fresh))
+        if k == radius or not len(fresh):  # the rim is never expanded
+            break
         low, start = start - len(layer), start + len(fresh)
-        keys.append(unique[fresh])
-        layer = unpack(keys[-1])
+        known, layer = (  # layer k+1's keys and its rows at their first occurrences
+            np.concatenate([known[len(known) - len(layer) :], unique[fresh]]),
+            targets.take(first[fresh] - len(known), axis=0),
+        )
 
-    dist = np.repeat(np.arange(len(keys), dtype=np.int32), list(map(len, keys)))
-    # the decoder, not the coder: an interning index must not outlive the BFS
-    return SchreierBall(oracle, radius, dist, np.concatenate(rows), np.concatenate(keys),
-                        unpack, coder.decode)
+    dist = np.repeat(np.arange(len(counts), dtype=np.int32), counts)
+    return SchreierBall(oracle, radius, dist, np.concatenate(rows))
 
 
 def _first_seen(values: np.ndarray, stable: bool):
@@ -464,7 +473,7 @@ def _first_seen(values: np.ndarray, stable: bool):
 
 
 def _packer(sizes: tuple[int, ...]):
-    """``pack`` and ``unpack`` between (m, k) code rows and one key per row.
+    """``pack``: (m, k) code rows to one key per row.
 
     Runs of adjacent columns merge in mixed radix while the product of
     their sizes stays below ``CODE_LIMIT``.  One run gives an int64 key,
@@ -472,7 +481,7 @@ def _packer(sizes: tuple[int, ...]):
     as one void key.
     """
     if len(sizes) == 1:
-        return (lambda rows: rows[:, 0]), (lambda keys: keys[:, None])
+        return lambda rows: rows[:, 0]
     runs, product = [[]], 1
     for j, size in enumerate(sizes):
         if runs[-1] and product * size >= CODE_LIMIT:
@@ -487,26 +496,9 @@ def _packer(sizes: tuple[int, ...]):
             places[j, r] = place
             place *= sizes[j]
     if len(runs) == 1:
-        places = places[:, 0]
+        return lambda rows: rows @ places[:, 0]
     void = np.dtype((np.void, 8 * len(runs)))
-
-    def pack(rows: np.ndarray) -> np.ndarray:
-        keys = rows @ places
-        return keys if len(runs) == 1 else keys.view(void).ravel()
-
-    def unpack(keys: np.ndarray) -> np.ndarray:
-        values = keys.view(np.int64)  # row i's run r at i * len(runs) + r
-        rows = np.empty((len(keys), len(sizes)), dtype=np.int64)
-        for r, run in enumerate(runs):
-            value, head = values[r :: len(runs)], rows[:, run[0]]
-            for j in reversed(run[1:]):  # the quotient goes on in the run's head column
-                np.divmod(value, sizes[j], out=(head, rows[:, j]))
-                value = head
-            if len(run) == 1:
-                head[:] = value
-        return rows
-
-    return pack, unpack
+    return lambda rows: (rows @ places).view(void).ravel()
 
 
 def _interning_coder(oracle: SubgroupOracle, vertex_cap: int) -> CosetCoder:
@@ -530,7 +522,7 @@ def _interning_coder(oracle: SubgroupOracle, vertex_cap: int) -> CosetCoder:
         ids.extend(islice(index, len(ids), None))  # the new ids, in code order
         return np.array(out, dtype=np.int64).reshape(-1, len(letters), 1)
 
-    return CosetCoder((0,), (CODE_LIMIT,), step, lambda row: ids[row[0]])
+    return CosetCoder((0,), (CODE_LIMIT,), step)
 
 
 @dataclass

@@ -163,7 +163,6 @@ def parse_word(s: str) -> Word:
 WREATH_D = 3
 WREATH_LETTERS = (1, 2, 3, -1, -2, -3)
 WREATH_NAMES = "sab"  # printed names of the letters 1, 2, 3
-_S_LETTER = 1
 
 
 @dataclass(frozen=True)

@@ -96,6 +96,14 @@ def test_mtp_rejects_kernel_keys_outside_the_graphing():
             mtp_check(g, {key: 1.0})
 
 
+def test_mtp_rejects_malformed_kernel_keys():
+    g = cycle_graphing(3)
+    for key in [(1.5, 0), (True, 1), ("0", 1), (0,)]:
+        with pytest.raises(ValidationError):
+            mtp_check(g, {key: 1.0})
+    assert mtp_check(g, {(np.int64(0), 2): 1.0}) == (1.0, 1.0)
+
+
 def test_rokhlin_even_cycle():
     g = cycle_graphing(12)
     part = rokhlin_partition(g, 0.01)

@@ -175,6 +175,20 @@ def test_double_cosets_of_normal_kernel():
     assert sums == set(range(-5, 6))
 
 
+def test_double_coset_cap_boundary():
+    """A 7-pair component is cut at a cap of 6 and flagged truncated, and a
+    later entry duplicates it; a cap of 7 or more summarizes it once."""
+    cycle = PermutationStabilizerOracle(7, 1, None, perms=[[1, 2, 3, 4, 5, 6, 0]])
+    point = PermutationStabilizerOracle(1, 1, 0)
+
+    def summary(cap):
+        return [(e.size, e.truncated) for e in enumerate_double_cosets(cycle, point, 3, component_cap=cap)]
+
+    assert summary(6) == [(6, True), (6, True)]
+    assert summary(7) == [(7, False)]
+    assert summary(8) == [(7, False)]
+
+
 def test_double_cosets_match_brute_force_random_finite_pairs():
     rng = np.random.default_rng(8)
     for _ in range(8):
@@ -426,15 +440,37 @@ def test_folner_subset_decodes_only_its_rows():
     assert ids == [ball.ids[i] for i in component.subset]
 
 
-def test_ball_keeps_one_packed_key_per_vertex():
-    oracle = wreath_percolation_oracle(sample_bernoulli_percolation(0.5, 40, 7))
-    ball = generate_ball(oracle, 4)  # 10 code columns per vertex
+class _CountingStallingsOracle(StallingsOracle):
+    """A Stallings oracle that counts its ``act`` calls."""
+
+    calls = 0
+
+    def act(self, letter, coset):
+        self.calls += 1
+        return super().act(letter, coset)
+
+
+def test_ball_replays_ids_along_its_bfs_tree():
+    oracle = _CountingStallingsOracle(build_automaton("ab,ba", 2))
+    assert oracle.coder(oracle.root, 6) is not None
+    ball = generate_ball(oracle, 6)
     stored = len(ball.dist_full)
-    assert ball._keys.shape == (stored,) and ball._keys.itemsize <= 16
+    assert oracle.calls == 0
+    assert set(vars(ball)) == {"oracle", "radius", "dist_full", "dist", "nbr"}  # no code array
+
+    component, _ = folner_search(ball)
+    oracle.calls = 0
+    ids = component.subset_ids()
+    assert oracle.calls <= int(ball.dist[component.subset].sum())
+    assert "_all_ids" not in vars(ball)
+
+    oracle.calls = 0
     one_by_one = [ball.id_of(i) for i in range(stored)]
+    assert oracle.calls == int(ball.dist_full.sum())
+    oracle.calls = 0
     assert one_by_one == ball.ids + ball.outer_ids
-    tree = generate_ball(trivial_subgroup_oracle(2), 3)
-    assert tree._keys.shape == (len(tree.dist_full),) and tree._keys.dtype == np.int64
+    assert oracle.calls == stored - 1
+    assert ids == [ball.ids[i] for i in component.subset]
 
 
 def test_indices_of_rejects_rim_ids():
