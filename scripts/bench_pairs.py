@@ -14,7 +14,8 @@ on both sides alike.  After the pairs it runs ``TRACED_PAIRS`` alternating
 pairs of ``--trace 1`` runs per workload for the per-layer metrics.  The JSON
 written to ``--out`` holds every run and, per workload and end-to-end
 metric, each side's median and quartiles, the relative change of the
-medians, and the number of pairs the change won; per workload and per-layer
+medians, the number of pairs the change won and a verdict (``gain``,
+``within_bound``, ``unresolved``; see ``verdict``); per workload and per-layer
 metric, each side's median over its traced runs and the relative change of
 the medians; with the CPU count, the Python and numpy versions, and what
 pins each tree's code (see ``revision``).  A run whose result line has
@@ -97,9 +98,36 @@ def spread(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
+def verdict(entry: dict, parent: list[float], change: list[float], lower: bool,
+            bound: float | None) -> dict:
+    """Three flags for one metric's ``summarize`` entry, whose pair k ran
+    ``parent[k]`` and ``change[k]``.  All are None without pairs;
+    ``within_bound`` and ``unresolved`` are None without a bound.
+
+    * ``gain``: the change won at least 9/10 of the pairs, and its median
+      moved the better way by more than the parent's interquartile range;
+    * ``within_bound``: the median's relative worsening is at most ``bound``;
+    * ``unresolved``: the parent's IQR over its median exceeds ``bound``,
+      so its spread could hide a worsening, and not every change run beats
+      every parent run.
+    """
+    if not entry["pairs"]:
+        return {"gain": None, "within_bound": None, "unresolved": None}
+    base, iqr = entry["parent"]["median"], entry["parent_iqr"]
+    improved = (base - entry["change"]["median"]) * (1 if lower else -1)
+    out = {"gain": 10 * entry["change_wins"] >= 9 * entry["pairs"] and improved > iqr,
+           "within_bound": None, "unresolved": None}
+    if bound is not None and base:
+        beats_all = max(change) < min(parent) if lower else min(change) > max(parent)
+        out["within_bound"] = -improved / abs(base) <= bound
+        out["unresolved"] = iqr / abs(base) > bound and not beats_all
+    return out
+
+
 def summarize(runs: list[dict], metrics: list[dict]) -> dict:
-    """Per metric: each side's spread, the median change and the pair wins,
-    over the pairs whose two runs are both ``sound``."""
+    """Per metric: each side's spread, the median change, the pair wins and
+    the ``verdict`` against the metric's ``bound``, over the pairs whose two
+    runs are both ``sound``."""
     pairs = {}
     for run in runs:
         if sound(run):
@@ -108,17 +136,19 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
     out = {}
     for metric in metrics:
         name, lower = metric["name"], metric.get("better", "lower") == "lower"
-        sides = {side: spread([p[side][name] for p in complete]) for side in SIDES}
+        values = {side: [p[side][name] for p in complete] for side in SIDES}
+        sides = {side: spread(values[side]) for side in SIDES}
         parent, change = sides["parent"]["median"], sides["change"]["median"]
-        wins = sum(p["change"][name] < p["parent"][name] if lower
-                   else p["change"][name] > p["parent"][name] for p in complete)
-        out[name] = {
+        wins = sum(c < p if lower else c > p for p, c in zip(values["parent"], values["change"]))
+        entry = {
             **sides,
             "change_rel": (change - parent) / parent if parent else None,
             "parent_iqr": (sides["parent"]["q3"] - sides["parent"]["q1"]) if complete else None,
             "change_wins": wins,
             "pairs": len(complete),
         }
+        out[name] = {**entry, **verdict(entry, values["parent"], values["change"], lower,
+                                        metric.get("bound"))}
     return out
 
 

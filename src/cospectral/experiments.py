@@ -343,16 +343,16 @@ def _common_elements(sites_a, sites_b, max_len: int, window: int):
     """
     product = product_oracle(_wreath_oracle(sites_a, window), _wreath_oracle(sites_b, window))
     table, vectors = _reduced_return_paths(product, max_len)
-    # first[u][s]: least k with a closed path of k steps leaving u along slot s
-    first = np.full(table.shape, max_len + 1)
+    # first[s, u]: least k with a closed path of k steps leaving u along slot s
+    first = np.full(table.T.shape, max_len + 1)
     hits = 0
     for k, x in enumerate(vectors, start=1):
-        hits += int(x[0].sum())
+        hits += int(x[:, 0].sum())
         first[(first > max_len) & (x > 0)] = k
     hits -= sum(count_reduced_returns(_wreath_oracle((), window), max_len))
     if hits == 0:
         return 0, []
-    table, first = table.tolist(), first.tolist()
+    table, first = table.tolist(), first.T.tolist()
 
     def closed(u: int, back: int, prefix: tuple):
         """Closed reduced words extending ``prefix`` from vertex u, in preorder."""

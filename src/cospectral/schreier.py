@@ -297,9 +297,10 @@ class SchreierBall:
     its 0.6 s BFS).  ``ids``, ``outer_ids`` and ``index`` (every
     stored id, rim included, to its index) replay ``act`` from the root
     along the tree on first access, one call per stored vertex; until
-    then ``id_of`` replays the path of one vertex, ``dist`` calls, since
-    the spectral and path-count code reads only the tables and a Folner
-    set is a small share of the ball.
+    then ``ids_of`` replays only the union of the tree paths of the
+    vertices asked for (``id_of``: one path, ``dist`` calls), since the
+    spectral and path-count code reads only the tables and a Folner set is
+    a small share of the ball.
     """
 
     def __init__(self, oracle, radius, dist_full, nbr):
@@ -360,12 +361,33 @@ class SchreierBall:
 
     def id_of(self, index: int):
         """The coset id of one stored vertex, ball or rim."""
+        return self.ids_of([index])[0]
+
+    def ids_of(self, indices: Iterable[int]) -> list:
+        """The coset ids of stored vertices, ball or rim, in the given order.
+
+        Until every id is replayed, this replays the union of the vertices'
+        tree paths once: each path is walked up to a vertex already known,
+        and ``act`` runs only below it, so a set costs at most one call per
+        distinct vertex on its paths, never more than the stored count.
+        """
         if "_all_ids" in vars(self):
-            return self._all_ids[index]
-        coset, act = self.oracle.root, self.oracle.act
-        for letter in self._path(index):
-            coset = act(letter, coset)
-        return coset
+            return [self._all_ids[i] for i in indices]
+        tree, width = self._tree, self.nbr.shape[1]
+        act, letters = self.oracle.act, self.oracle.letters
+        known = {0: self.oracle.root}
+        out = []
+        for index in indices:
+            path = []
+            while index not in known:
+                parent, slot = divmod(int(tree[index]), width)
+                path.append((index, slot))
+                index = parent
+            coset = known[index]
+            for vertex, slot in reversed(path):
+                coset = known[vertex] = act(letters[slot], coset)
+            out.append(coset)
+        return out
 
     def indices_of(self, vertices: Iterable) -> np.ndarray:
         """Sorted ball indices of a vertex set given as ball indices: Python
@@ -542,13 +564,13 @@ class ComponentSet:
     truncated: bool
 
     def subset_ids(self):
-        return [self.ball.id_of(int(i)) for i in self.subset]
+        return self.ball.ids_of(self.subset.tolist())
 
     def interior_ids(self):
-        return [self.ball.id_of(int(i)) for i in self.interior]
+        return self.ball.ids_of(self.interior.tolist())
 
     def boundary_ids(self):
-        return [self.ball.id_of(int(i)) for i in self.outer_boundary]
+        return self.ball.ids_of(self.outer_boundary.tolist())
 
 
 def interior_boundary(ball: SchreierBall, subset: Iterable) -> ComponentSet:
@@ -712,12 +734,16 @@ def _reduced_return_paths(
     edge vectors x_1..x_n of its non-backtracking closed-path counts.
 
     ``table`` is ``ball.nbr`` with rim targets mapped to the sentinel
-    ``n_vertices``.  x_k[u, s] counts the non-backtracking paths of k steps
-    that leave ball vertex u along slot s and end at the root; x_1 is the
-    indicator of edges ending at the root and x_{k+1} = B x_k.  A path
-    that returns within n steps never leaves the ball, so every count is
-    exact.  Entries never exceed 2d(2d-1)^(n-1): below 2**63 they run in
-    int64, above it in Python integers, so there is no overflow.
+    ``n_vertices``, row-major like ``nbr``.  The edge vectors are
+    slot-major, of shape ``(2d, n_vertices)`` as ``_nonbacktracking``
+    takes them: x_k[s, u] counts the non-backtracking paths of k steps
+    that leave ball vertex u along slot s and end at the root, so the
+    root's edges are ``x_k[:, 0]``.  x_1 is the indicator of edges ending
+    at the root and x_{k+1} = B x_k.  A path that returns within n steps
+    never leaves the ball, so every count is exact.  Entries never exceed
+    2d(2d-1)^(n-1): below 2**63 they run in int64, above it in Python
+    integers, so there is no overflow and the order of the sums cannot
+    change a count.
     """
     if n < 1:
         raise ValidationError(f"n must be >= 1, got {n}")
@@ -728,8 +754,8 @@ def _reduced_return_paths(
 
     def vectors():
         step = _nonbacktracking(table, oracle.d, dtype)
-        x = np.zeros(table.shape, dtype=dtype)
-        x[table == 0] = 1
+        x = np.zeros(table.T.shape, dtype=dtype)
+        x[table.T == 0] = 1
         yield x
         for _ in range(n - 1):
             x = step(x)
@@ -747,10 +773,11 @@ def count_reduced_returns(
 
     These are the non-backtracking closed path counts at the root, i.e. the
     number of subgroup elements of each reduced length for free families:
-    the k-th count sums the root row of x_k from ``_reduced_return_paths``.
+    the k-th count sums the root's edges ``x_k[:, 0]`` from
+    ``_reduced_return_paths``.
     """
     _, vectors = _reduced_return_paths(oracle, n, vertex_cap)
-    return [int(x[0].sum()) for x in vectors]
+    return [int(x[:, 0].sum()) for x in vectors]
 
 
 def ball_to_dot(ball: SchreierBall, name: str = "ball") -> str:

@@ -10,6 +10,13 @@ functions on the coset space.  Two certified lower bounds are provided:
 * return probabilities, p_{2n}(root, root)^(1/2n) <= rho by self-adjointness,
   from 2n applications of the same ball-table matvec to the root indicator.
 
+Both apply one matvec, ``_neighbor_average``, hundreds of times, so for
+fewer than 8 generator slots it reads its neighbor table slot-major: a
+``(2d, n)`` copy made once per operator, gathered with one ``take`` and
+summed over the leading axis.  numpy adds a short row in index order, and a
+leading-axis sum adds the same terms in the same order, so every estimate
+keeps the bits of the row-major sum.
+
 For f.g. subgroups of free groups the cogrowth base alpha converts to the
 exact co-spectral radius through the classical cogrowth formula.
 """
@@ -138,14 +145,26 @@ def _neighbor_average(table: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
 
     ``table[i, k]`` is the local index of row i's k-th neighbor; index
     ``len(table)`` stands for every neighbor outside the support, where
-    functions vanish.
+    functions vanish.  A table fewer than 8 columns wide is kept as a
+    slot-major ``(width, n)`` copy, so a matvec is one ``take`` of
+    contiguous columns and a sum over the leading axis, which adds each
+    row in the order and with the bits of ``padded[table].sum(axis=1)``.
+    numpy sums a row of 8 or more pairwise, so a wider table keeps that
+    row-major sum.
     """
     padded = np.zeros(len(table) + 1)
     width = table.shape[1]
+    if width >= 8:
+        def matvec(x: np.ndarray) -> np.ndarray:
+            padded[:-1] = x
+            return padded[table].sum(axis=1) / width
+
+        return matvec
+    columns = np.ascontiguousarray(table.T)
 
     def matvec(x: np.ndarray) -> np.ndarray:
         padded[:-1] = x
-        return padded[table].sum(axis=1) / width
+        return np.add.reduce(padded.take(columns), axis=0) / width
 
     return matvec
 

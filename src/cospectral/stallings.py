@@ -374,18 +374,38 @@ def _nonbacktracking(table: np.ndarray, d: int, dtype) -> Callable[[np.ndarray],
     """Matvec of the non-backtracking operator B on directed edges.
 
     ``table[u, s]`` is the target of the edge leaving u along slot s, or
-    ``len(table)`` where that slot is missing.  An edge vector x has the
-    table's shape, and (Bx)[u, s] sums x over the edges leaving
-    table[u, s] except the reverse of (u, s).  Missing slots read a zero
-    sentinel row, so Bx vanishes there.
+    ``len(table)`` where that slot is missing.  An edge vector x is
+    slot-major, of shape ``(2d, len(table))``: x[s, u] is the edge (u, s).
+    (Bx)[s, u] sums x over the edges leaving t = table[u, s] except the
+    reverse of (u, s), i.e. the slot total at t minus x[s', t] for the
+    inverse slot s'.  Each matvec is one slot total and two ``take``s: the
+    totals at the targets, and the reverse edges through one precomputed
+    flat index.  Missing slots read a zero sentinel column, so Bx vanishes
+    there.
+
+    The slot total is a sum over the leading axis, in 2d contiguous passes.
+    numpy adds a row of fewer than 8 floats in index order from the first,
+    and so does the leading-axis sum, so the bits match the row-major
+    ``sum(axis=1)``.  From 8 floats on numpy sums a row pairwise, so a
+    float table that wide is totalled from a row-major copy.  Integer and
+    object sums do not depend on their order.
     """
     width = 2 * d
+    n = len(table)
+    targets = np.ascontiguousarray(table.T)
     reverse = (np.arange(width) + d) % width
-    padded = np.zeros((len(table) + 1, width), dtype=dtype)
+    back = reverse[:, None] * (n + 1) + targets  # flat index of x[s', t] in ``padded``
+    padded = np.zeros((width, n + 1), dtype=dtype)
+    if width < 8 or not np.issubdtype(padded.dtype, np.floating):
+        def total():
+            return np.add.reduce(padded, axis=0)
+    else:
+        def total():
+            return np.ascontiguousarray(padded.T).sum(axis=1)
 
     def matvec(x: np.ndarray) -> np.ndarray:
-        padded[:-1] = x
-        return padded.sum(axis=1)[table] - padded[table, reverse]
+        padded[:, :-1] = x
+        return total().take(targets) - padded.take(back)
 
     return matvec
 
@@ -415,13 +435,14 @@ def cogrowth_rate(
     if not present.any():
         return CogrowthResult(0.0, None, 0, 0.0, True)
     step = _nonbacktracking(table, automaton.d, float)
-    v = present.astype(float)
+    v = present.T.astype(float)
     w = v + step(v)
     for iterations in range(1, max_iterations + 1):
-        lam = float(np.max(np.abs(w)))  # >= 1: (I + B) never shrinks a nonnegative vector
+        # w >= 0, so its max is its sup norm; >= 1: (I + B) never shrinks it
+        lam = float(w.max())
         v = w / lam
         w = v + step(v)
-        residual = float(np.max(np.abs(w - lam * v)))
+        residual = float(abs(w - lam * v).max())
         if residual <= tol:
             break
     alpha = lam - 1.0

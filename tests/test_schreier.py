@@ -473,6 +473,24 @@ def test_ball_replays_ids_along_its_bfs_tree():
     assert ids == [ball.ids[i] for i in component.subset]
 
 
+def test_component_ids_replay_each_tree_vertex_at_most_once():
+    oracle = _CountingStallingsOracle(build_automaton([], 2))
+    ball = generate_ball(oracle, 8)
+    component, _ = folner_search(ball)
+    stored = ball.n_vertices + ball.n_outer
+    got = []
+    for read, indices in ((component.subset_ids, component.subset),
+                          (component.interior_ids, component.interior),
+                          (component.boundary_ids, component.outer_boundary)):
+        oracle.calls = 0
+        got.append((read(), indices))
+        assert oracle.calls <= stored  # one path per vertex took 98,416 calls
+    assert "_all_ids" not in vars(ball)
+    every = ball.ids + ball.outer_ids
+    for ids, indices in got:
+        assert ids == [every[i] for i in indices]
+
+
 def test_indices_of_rejects_rim_ids():
     ball = generate_ball(trivial_subgroup_oracle(2), 1)
     rim_id = ball.outer_ids[0]

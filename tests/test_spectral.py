@@ -276,3 +276,15 @@ def test_cogrowth_iteration_cap_flags_residual():
     assert result.residual > 1e-10
     with pytest.raises(ValidationError):
         cg(automaton, max_iterations=0)
+
+
+@pytest.mark.parametrize("width", [2, 4, 6, 8, 10])
+def test_slot_major_average_keeps_the_row_major_bits(width):
+    rng = np.random.default_rng(width)
+    for n in (1, 7, 300):
+        table = rng.integers(0, n + 1, (n, width))  # index n is the sentinel column
+        table[0, 0] = n
+        x = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 9, n)
+        padded = np.append(x, 0.0)
+        expected = padded[table].sum(axis=1) / width
+        assert np.array_equal(spectral._neighbor_average(table)(x), expected)

@@ -3,10 +3,23 @@ import pytest
 
 from helpers import all_reduced_words, stabilizer_generators, subgroup_closure
 from cospectral.errors import ValidationError
-from cospectral.irs import PermutationStabilizerOracle
-from cospectral.schreier import StallingsOracle, count_reduced_returns
+from cospectral.experiments import random_subgroup_words
+from cospectral.irs import (
+    PermutationStabilizerOracle,
+    kernel_to_Z_oracle,
+    sample_bernoulli_percolation,
+    wreath_percolation_oracle,
+)
+from cospectral.schreier import (
+    StallingsOracle,
+    count_reduced_returns,
+    generate_ball,
+    product_oracle,
+    trivial_subgroup_oracle,
+)
 from cospectral.stallings import (
     EdgeListGraph,
+    _nonbacktracking,
     automaton_to_dot,
     build_automaton,
     cogrowth_rate,
@@ -236,3 +249,44 @@ def test_canonical_equality_is_labeled_isomorphism():
     a2 = build_automaton("aB,ab", 2)
     assert a1 == a2
     assert hash(a1) == hash(a2)
+
+
+def _row_major_nonbacktracking(table, d, x):
+    """B on a row-major edge vector x[u, s], summed per row as numpy does."""
+    width = 2 * d
+    reverse = (np.arange(width) + d) % width
+    padded = np.zeros((len(table) + 1, width), dtype=x.dtype)
+    padded[:-1] = x
+    return padded.sum(axis=1)[table] - padded[table, reverse]
+
+
+def _automaton_table(automaton):
+    n = automaton.n_states
+    return np.array([[n if t is None else t for t in row] for row in automaton.table])
+
+
+def _edge_vectors(rng, shape):
+    floats = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 9, shape)
+    ints = rng.integers(-(2**40), 2**40, shape)
+    wide = np.array([[int(v) << 70 for v in row] for row in ints.tolist()], dtype=object)
+    return floats, ints, wide
+
+
+def test_slot_major_nonbacktracking_keeps_the_row_major_bits():
+    rng = np.random.default_rng(11)
+    tables = []
+    for seed in range(12):
+        d = 2 + seed % 3  # widths 4, 6 and 8
+        tables.append((_automaton_table(build_automaton(random_subgroup_words(seed, d=d), d)), d))
+    for oracle in (trivial_subgroup_oracle(2),
+                   product_oracle(StallingsOracle(build_automaton("ab,bA", 2)),
+                                  kernel_to_Z_oracle(2, (1, 0))),
+                   wreath_percolation_oracle(sample_bernoulli_percolation(0.5, 20, 3))):
+        ball = generate_ball(oracle, 3)
+        tables.append((np.minimum(ball.nbr, ball.n_vertices), oracle.d))
+    for table, d in tables:
+        for x in _edge_vectors(rng, table.shape):
+            step = _nonbacktracking(table, d, x.dtype)
+            got = step(np.ascontiguousarray(x.T))
+            assert got.shape == table.T.shape
+            assert np.array_equal(got, _row_major_nonbacktracking(table, d, x).T)
