@@ -10,7 +10,13 @@ import argparse
 import os
 import sys
 
-from cospectral.experiments import ExperimentConfig, export, run_experiment
+# One BLAS thread unless the caller sets one, before numpy is imported: the
+# Lanczos basis products are small, and with the default threads a solver
+# step took 3.6 times as long on 2 CPUs while another process kept one busy.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+from cospectral.experiments import ExperimentConfig, export, run_experiment  # noqa: E402
 
 
 def configs(fast: bool):

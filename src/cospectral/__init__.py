@@ -9,13 +9,9 @@ driver (experiments, cli).
 
 from .errors import BallCapExceeded, ResourceCapError, ValidationError, WindowExceeded
 from .words import (
-    Generator,
     Word,
     WreathElement,
-    invert,
-    multiply,
     parse_word,
-    parse_wreath,
     reduce_word,
     wreath_from_word,
 )
@@ -37,7 +33,6 @@ from .schreier import (
     SchreierBall,
     StallingsOracle,
     SubgroupOracle,
-    conjugate_oracle,
     count_reduced_returns,
     enumerate_double_cosets,
     folner_defect,
@@ -63,7 +58,6 @@ from .graphing import (
     PartialMap,
     RokhlinPartition,
     TestFunction,
-    cesaro_average,
     embedded_spectral_radius,
     graphing_from_text,
     graphing_to_text,
@@ -75,7 +69,6 @@ from .graphing import (
 from .irs import (
     PercolationSample,
     kernel_to_Z_oracle,
-    oracle_from_sample,
     permutation_stabilizer_oracle,
     sample_bernoulli_percolation,
     sample_to_json,

@@ -8,9 +8,8 @@ it only matters here where maps may be partial.
 
 Implements orbit (ergodic) decomposition, the mass transport identity,
 an exact Rokhlin-type partition, the embedded spectral radius over interiors
-of components, Cesaro averages of the step distribution, and the product
-test-function construction that transfers a spectral witness from a factor
-system to a product with a Folner set.
+of components, and the product test-function construction that transfers a
+spectral witness from a factor system to a product with a Folner set.
 """
 
 from __future__ import annotations
@@ -33,10 +32,8 @@ __all__ = [
     "orbit_decomposition",
     "mtp_check",
     "rokhlin_partition",
-    "check_rokhlin",
     "embedded_spectral_radius",
     "interior_of",
-    "cesaro_average",
     "product_test_function",
     "ProductTestReport",
     "validate_test_function",
@@ -73,7 +70,7 @@ class Graphing:
 
     ``table[x, k]`` is the image of point x under map k, or x itself where
     map k is undefined (the lazy convention).  The Markov operator,
-    interiors, orbits and the Rokhlin check all read this one table.
+    interiors and orbits all read this one table.
     """
 
     def __init__(self, weights: Sequence[float], maps: Iterable[Union[PartialMap, tuple]]):
@@ -97,43 +94,24 @@ class Graphing:
                     raise ValidationError(
                         f"map {m.label!r} is not measure preserving at {x}->{y}"
                     )
-        self.inv_index = self._match_inverses()
+        inv = _pair_inverses(self.maps)
+        if None in inv:
+            raise ValidationError(
+                "map family is not symmetric: no inverse present for "
+                f"{self.maps[inv.index(None)].label!r}"
+            )
+        self.inv_index = tuple(inv)
         self.table = np.repeat(np.arange(n, dtype=np.int64)[:, None], len(self.maps), axis=1)
         for k, m in enumerate(self.maps):
             self.table[list(m.mapping), k] = list(m.mapping.values())
 
-    def _match_inverses(self) -> tuple[int, ...]:
-        inv = [None] * len(self.maps)
-        by_mapping: dict[tuple, list[int]] = {}
-        for i, m in enumerate(self.maps):
-            by_mapping.setdefault(tuple(sorted(m.mapping.items())), []).append(i)
-        for i, m in enumerate(self.maps):
-            if inv[i] is not None:
-                continue
-            key = tuple(sorted(m.inverse_mapping().items()))
-            candidates = [j for j in by_mapping.get(key, ()) if inv[j] is None]
-            if not candidates:
-                raise ValidationError(
-                    f"map family is not symmetric: no inverse present for {m.label!r}"
-                )
-            j = candidates[0]
-            inv[i] = j
-            inv[j] = i
-        return tuple(inv)
-
     @classmethod
     def from_pairs(cls, weights, pairs: Iterable[tuple]) -> "Graphing":
-        """Build from forward maps only; inverses are added when missing."""
+        """Build from forward maps only: each map left without an inverse
+        among them gets one of its own, appended in order."""
         maps = [m if isinstance(m, PartialMap) else PartialMap(*m) for m in pairs]
-        out = list(maps)
-        present = {tuple(sorted(m.mapping.items())) for m in maps}
-        for m in maps:
-            inv = m.inverse_mapping()
-            key = tuple(sorted(inv.items()))
-            if key not in present:
-                out.append(PartialMap(m.label + "~", inv))
-                present.add(key)
-        return cls(weights, out)
+        missing = [m for m, j in zip(maps, _pair_inverses(maps)) if j is None]
+        return cls(weights, maps + [PartialMap(m.label + "~", m.inverse_mapping()) for m in missing])
 
     @property
     def n_points(self) -> int:
@@ -152,6 +130,24 @@ class Graphing:
         if f.shape != (self.n_points,):
             raise ValidationError(f"function must have shape ({self.n_points},)")
         return f[self.table].sum(axis=1) / self.n_maps
+
+
+def _pair_inverses(maps: Sequence[PartialMap]) -> list[int | None]:
+    """Pair each map, in order, with the first unpaired map of its inverse
+    mapping (an involution may pair with itself); None where none is left."""
+    inv: list[int | None] = [None] * len(maps)
+    by_mapping: dict[tuple, list[int]] = {}
+    for i, m in enumerate(maps):
+        by_mapping.setdefault(tuple(sorted(m.mapping.items())), []).append(i)
+    for i, m in enumerate(maps):
+        if inv[i] is not None:
+            continue
+        key = tuple(sorted(m.inverse_mapping().items()))
+        candidates = [j for j in by_mapping.get(key, ()) if inv[j] is None]
+        if candidates:
+            inv[i] = candidates[0]
+            inv[candidates[0]] = i
+    return inv
 
 
 @dataclass
@@ -337,21 +333,6 @@ def rokhlin_partition(g: Graphing, delta: float, class_cap: int = 64) -> Rokhlin
     return RokhlinPartition(b_part, tuple(classes))
 
 
-def check_rokhlin(g: Graphing, part: RokhlinPartition, delta: float) -> bool:
-    """Exact verification of the three partition invariants."""
-    covered = sorted(part.B + tuple(x for c in part.classes for x in c))
-    if covered != list(range(g.n_points)):
-        return False
-    if part.B and float(g.weights[list(part.B)].sum()) > delta + 1e-12:
-        return False
-    label = np.full(g.n_points, -1, dtype=np.int64)  # -1 marks B
-    for i, cls in enumerate(part.classes):
-        label[list(cls)] = i
-    moved = g.table != np.arange(g.n_points)[:, None]
-    same_class = label[g.table] == label[:, None]
-    return not (moved & same_class & (label >= 0)[:, None]).any()
-
-
 def interior_of(g: Graphing, subset: Iterable[int]) -> np.ndarray:
     """Sorted points of the subset all of whose defined map images stay inside."""
     points = np.unique(np.fromiter((int(x) for x in subset), dtype=np.int64))
@@ -380,22 +361,6 @@ def embedded_spectral_radius(g: Graphing, subset: Iterable[int]) -> float:
     matvec = _neighbor_average(local[g.table[interior]])
     value, _, _, _ = _top_eigenpair(matvec, np.ones(len(interior)))
     return min(value, 1.0)
-
-
-def cesaro_average(g: Graphing, f: np.ndarray, m: int) -> np.ndarray:
-    """Average of f, Mf, ..., M^(m-1) f: the Cesaro mean of the step
-    distribution applied to f (m = 1 returns f unchanged)."""
-    if m < 1:
-        raise ValidationError(f"m must be >= 1, got {m}")
-    f = np.asarray(f, dtype=float)
-    if f.shape != (g.n_points,):
-        raise ValidationError(f"function must have shape ({g.n_points},)")
-    acc = f.copy()
-    cur = f
-    for _ in range(m - 1):
-        cur = g.apply_markov(cur)
-        acc += cur
-    return acc / m
 
 
 @dataclass

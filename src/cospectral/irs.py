@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import ValidationError, WindowExceeded
 from .schreier import CODE_LIMIT, CosetCoder, SubgroupOracle, generate_ball
-from .words import Word, WreathElement, wreath_from_word
+from .words import Word, WreathElement, letter_char, wreath_from_word
 
 __all__ = [
     "PercolationSample",
@@ -26,7 +26,6 @@ __all__ = [
     "ZKernelOracle",
     "kernel_to_Z_oracle",
     "sample_to_json",
-    "oracle_from_sample",
     "longest_segment",
     "maximal_segments",
 ]
@@ -188,14 +187,9 @@ class WreathPercolationOracle(SubgroupOracle):
     def describe(self, coset) -> str:
         support, shift = coset
         body = ", ".join(
-            f"{pos}:" + "".join(_lamp_char(l) for l in word) for pos, word in support
+            f"{pos}:" + "".join(map(letter_char, word)) for pos, word in support
         )
         return f"({body}; {shift})"
-
-
-def _lamp_char(letter: int) -> str:
-    ch = "a" if abs(letter) == 1 else "b"
-    return ch if letter > 0 else ch.upper()
 
 
 def wreath_percolation_oracle(sample: PercolationSample) -> WreathPercolationOracle:
@@ -293,10 +287,10 @@ def kernel_to_Z_oracle(d: int, weights: Sequence[int]) -> ZKernelOracle:
     return ZKernelOracle(d, weights)
 
 
-# --- sample (de)serialization ------------------------------------------------
+# --- sample serialization ---------------------------------------------------
 
 def sample_to_json(obj) -> dict:
-    """JSON record {family, params, seed, data}; oracles rebuild bit-exactly."""
+    """JSON record {family, params, seed, data}."""
     if isinstance(obj, PercolationSample):
         return {
             "family": "percolation",
@@ -321,21 +315,3 @@ def sample_to_json(obj) -> dict:
             "data": {},
         }
     raise ValidationError(f"cannot serialize {type(obj).__name__}")
-
-
-def oracle_from_sample(record: dict) -> SubgroupOracle:
-    family = record.get("family")
-    params = record.get("params", {})
-    data = record.get("data", {})
-    if family == "percolation":
-        sample = PercolationSample(
-            frozenset(data["sites"]), params["p"], params["window"], record.get("seed")
-        )
-        return WreathPercolationOracle(sample)
-    if family == "permutation":
-        return PermutationStabilizerOracle(
-            params["n"], params["d"], record.get("seed"), perms=data["perms"]
-        )
-    if family == "zkernel":
-        return ZKernelOracle(params["d"], params["weights"])
-    raise ValidationError(f"unknown sample family {family!r}")

@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import BallCapExceeded, ValidationError
 from .stallings import StallingsAutomaton, _nonbacktracking, build_automaton, inverse_slot, letter_of_slot, slot_of_letter
-from .words import WREATH_NAMES, Word, letters_of_rank
+from .words import WREATH_NAMES, Word, letter_char, letters_of_rank
 
 __all__ = [
     "SubgroupOracle",
@@ -46,7 +46,6 @@ __all__ = [
     "interior_boundary",
     "product_oracle",
     "reroot",
-    "conjugate_oracle",
     "enumerate_double_cosets",
     "folner_search",
     "folner_defect",
@@ -155,7 +154,7 @@ class StallingsOracle(SubgroupOracle):
 
     def describe(self, coset: bytes) -> str:
         state = int.from_bytes(coset[:4], "little")
-        tail = "".join(_slot_char(b, self.d) for b in coset[4:])
+        tail = "".join(letter_char(letter_of_slot(b, self.d)) for b in coset[4:])
         return f"q{state}" + (f".{tail}" if tail else "")
 
     def coder(self, root: bytes, radius: int) -> CosetCoder | None:
@@ -188,12 +187,6 @@ class StallingsOracle(SubgroupOracle):
         for slot in root[4:]:
             tail = tail * width + slot + 1
         return CosetCoder((tail * n + int.from_bytes(root[:4], "little"),), (size,), step)
-
-
-def _slot_char(slot: int, d: int) -> str:
-    letter = letter_of_slot(slot, d)
-    ch = chr(ord("a") + abs(letter) - 1)
-    return ch if letter > 0 else ch.upper()
 
 
 def trivial_subgroup_oracle(d: int) -> StallingsOracle:
@@ -268,15 +261,6 @@ class RerootedOracle(SubgroupOracle):
 
 def reroot(oracle: SubgroupOracle, new_root) -> RerootedOracle:
     return RerootedOracle(oracle, new_root)
-
-
-def conjugate_oracle(oracle: SubgroupOracle, word: Word) -> RerootedOracle:
-    """Oracle of the conjugate subgroup H^w, i.e. the action rerooted at
-    the coset root.w"""
-    coset = oracle.root
-    for letter in word.letters:
-        coset = oracle.act(letter, coset)
-    return RerootedOracle(oracle, coset)
 
 
 class SchreierBall:
@@ -566,12 +550,6 @@ class ComponentSet:
     def subset_ids(self):
         return self.ball.ids_of(self.subset.tolist())
 
-    def interior_ids(self):
-        return self.ball.ids_of(self.interior.tolist())
-
-    def boundary_ids(self):
-        return self.ball.ids_of(self.outer_boundary.tolist())
-
 
 def interior_boundary(ball: SchreierBall, subset: Iterable) -> ComponentSet:
     """Exact interior and outer boundary of a set of ball indices (map ids
@@ -667,13 +645,6 @@ class DoubleCosetEntry:
     size: int
     truncated: bool
     entry_pair: tuple
-
-    def to_json(self) -> dict:
-        return {
-            "representative": str(self.representative),
-            "size": self.size,
-            "truncated": self.truncated,
-        }
 
 
 def enumerate_double_cosets(
@@ -795,7 +766,7 @@ def ball_to_dot(ball: SchreierBall, name: str = "ball") -> str:
         for s in range(ball.oracle.d):
             t = int(ball.nbr[i, s])
             if t < n:
-                label = WREATH_NAMES[s] if wreath else chr(ord("a") + s)
+                label = WREATH_NAMES[s] if wreath else letter_char(s + 1)
                 lines.append(f'  v{i} -> v{t} [label="{label}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -19,7 +19,7 @@ from typing import Callable, Iterable, Sequence, Union
 import numpy as np
 
 from .errors import ValidationError
-from .words import Word, parse_word
+from .words import Word, letter_char, parse_word
 
 __all__ = [
     "EdgeListGraph",
@@ -460,7 +460,6 @@ def automaton_to_dot(automaton: StallingsAutomaton, name: str = "stallings") -> 
         for s in range(automaton.d):
             t = automaton.table[u][s]
             if t is not None:
-                label = chr(ord("a") + s)
-                lines.append(f'  q{u} -> q{t} [label="{label}"];')
+                lines.append(f'  q{u} -> q{t} [label="{letter_char(s + 1)}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

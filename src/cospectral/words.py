@@ -13,19 +13,16 @@ a b a^-1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence
 
 from .errors import ValidationError
 
 __all__ = [
-    "Generator",
     "Word",
     "WreathElement",
+    "letter_char",
     "reduce_word",
-    "multiply",
-    "invert",
     "parse_word",
-    "parse_wreath",
     "wreath_generator",
     "wreath_from_word",
     "WREATH_LETTERS",
@@ -33,39 +30,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, order=True)
-class Generator:
-    """A positive generator of F_d or its formal inverse."""
-
-    index: int
-    sign: int = 1
-
-    def __post_init__(self):
-        if self.index < 0:
-            raise ValidationError(f"generator index must be >= 0, got {self.index}")
-        if self.sign not in (1, -1):
-            raise ValidationError(f"generator sign must be +1 or -1, got {self.sign}")
-
-    def inverse(self) -> "Generator":
-        return Generator(self.index, -self.sign)
-
-    def encode(self) -> int:
-        return self.sign * (self.index + 1)
-
-    @staticmethod
-    def decode(letter: int) -> "Generator":
-        if letter == 0:
-            raise ValidationError("0 is not a valid letter")
-        return Generator(abs(letter) - 1, 1 if letter > 0 else -1)
-
-    def __str__(self) -> str:
-        ch = chr(ord("a") + self.index)
-        return ch if self.sign > 0 else ch.upper()
+def letter_char(letter: int) -> str:
+    """The printed name of a letter: +i is the i-th of a, b, c, ..., -i its
+    uppercase."""
+    ch = chr(ord("a") + abs(letter) - 1)
+    return ch if letter > 0 else ch.upper()
 
 
 def _as_letter(x) -> int:
-    if isinstance(x, Generator):
-        return x.encode()
     letter = int(x)
     if letter == 0:
         raise ValidationError("0 is not a valid letter")
@@ -95,10 +67,6 @@ class Word:
         letters = tuple(_as_letter(x) for x in self.letters)
         object.__setattr__(self, "letters", _reduce(letters))
 
-    @property
-    def generators(self) -> tuple[Generator, ...]:
-        return tuple(Generator.decode(letter) for letter in self.letters)
-
     def is_identity(self) -> bool:
         return not self.letters
 
@@ -114,7 +82,7 @@ class Word:
         return len(self.letters)
 
     def __str__(self) -> str:
-        return "".join(str(Generator.decode(letter)) for letter in self.letters)
+        return "".join(map(letter_char, self.letters))
 
 
 IDENTITY_WORD = Word()
@@ -125,7 +93,7 @@ def letters_of_rank(d: int) -> tuple[int, ...]:
     return tuple(range(1, d + 1)) + tuple(range(-1, -d - 1, -1))
 
 
-def reduce_word(letters: Sequence[Union[int, Generator]], d: int | None = None) -> Word:
+def reduce_word(letters: Sequence[int], d: int | None = None) -> Word:
     """Freely reduce a letter sequence; validates indices against rank d."""
     encoded = [_as_letter(x) for x in letters]
     if d is not None:
@@ -220,10 +188,6 @@ class WreathElement:
         lamps = {pos - self.shift: word.inverse() for pos, word in self.support}
         return WreathElement.make(lamps, -self.shift)
 
-    def __str__(self) -> str:
-        body = ", ".join(f"{pos}:{word}" for pos, word in self.support)
-        return f"({body}; {self.shift})"
-
 
 WREATH_IDENTITY = WreathElement()
 
@@ -244,54 +208,3 @@ def wreath_from_word(word: Word) -> WreathElement:
     for letter in word.letters:
         out = out * wreath_generator(letter)
     return out
-
-
-def parse_wreath(s: str) -> WreathElement:
-    """Parse "(pos:word, pos:word; shift)"; "(; 0)" is the identity."""
-    text = s.strip()
-    if not (text.startswith("(") and text.endswith(")")):
-        raise ValidationError(f"wreath element must be parenthesized: {s!r}")
-    text = text[1:-1]
-    if ";" not in text:
-        raise ValidationError(f"missing shift separator ';' in {s!r}")
-    body, _, shift_part = text.rpartition(";")
-    try:
-        shift = int(shift_part.strip())
-    except ValueError as exc:
-        raise ValidationError(f"invalid shift in {s!r}") from exc
-    lamps: list[tuple[int, Word]] = []
-    body = body.strip()
-    if body:
-        for item in body.split(","):
-            pos_part, _, word_part = item.partition(":")
-            if not word_part:
-                raise ValidationError(f"lamp entry {item!r} must look like pos:word")
-            try:
-                pos = int(pos_part.strip())
-            except ValueError as exc:
-                raise ValidationError(f"invalid lamp position in {item!r}") from exc
-            lamps.append((pos, parse_word(word_part)))
-    return WreathElement.make(lamps, shift)
-
-
-# --- generic dispatch -------------------------------------------------------
-
-GroupElement = Union[Word, WreathElement]
-
-
-def multiply(x: GroupElement, y: GroupElement) -> GroupElement:
-    """Multiply two elements of the same family; mixing families is an error."""
-    if isinstance(x, Word) and isinstance(y, Word):
-        return x * y
-    if isinstance(x, WreathElement) and isinstance(y, WreathElement):
-        return x * y
-    raise ValidationError(
-        f"cannot multiply {type(x).__name__} by {type(y).__name__}: elements "
-        "must belong to the same group family"
-    )
-
-
-def invert(x: GroupElement) -> GroupElement:
-    if isinstance(x, (Word, WreathElement)):
-        return x.inverse()
-    raise ValidationError(f"cannot invert object of type {type(x).__name__}")

@@ -10,6 +10,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from cospectral.graphing import Graphing
+from cospectral.schreier import reroot
 from cospectral.words import Word, letters_of_rank
 
 
@@ -37,6 +38,23 @@ def random_graphing(seed, max_points=60, max_pairs=4, weighted=True):
         mapping = {int(a): int(b) for a, b in zip(src, dst)}
         pairs.append((f"m{k}", mapping))
     return Graphing.from_pairs(weights, pairs)
+
+
+def check_rokhlin(g, part, delta):
+    """Exact verification of the three partition invariants: the classes
+    and B cover every point once, B weighs at most delta, and no map moves
+    a point outside B within its class."""
+    covered = sorted(part.B + tuple(x for c in part.classes for x in c))
+    if covered != list(range(g.n_points)):
+        return False
+    if part.B and float(g.weights[list(part.B)].sum()) > delta + 1e-12:
+        return False
+    label = np.full(g.n_points, -1, dtype=np.int64)  # -1 marks B
+    for i, cls in enumerate(part.classes):
+        label[list(cls)] = i
+    moved = g.table != np.arange(g.n_points)[:, None]
+    same_class = label[g.table] == label[:, None]
+    return not (moved & same_class & (label >= 0)[:, None]).any()
 
 
 def union_find_components(g):
@@ -205,6 +223,15 @@ def stabilizer_generators(oracle):
             if not word.is_identity():
                 gens.append(word)
     return gens
+
+
+def conjugate(oracle, word):
+    """Oracle of the conjugate subgroup H^w: the action rerooted at the
+    coset root.w."""
+    coset = oracle.root
+    for letter in word.letters:
+        coset = oracle.act(letter, coset)
+    return reroot(oracle, coset)
 
 
 def reference_ball(oracle, radius):

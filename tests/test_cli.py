@@ -5,6 +5,7 @@ import pytest
 
 from cospectral.cli import main
 from cospectral.graphing import Graphing, graphing_to_text
+from cospectral.irs import permutation_stabilizer_oracle
 
 
 def run(capsys, argv):
@@ -49,14 +50,25 @@ def test_spectral_command_return_honours_cap(capsys):
     assert json.loads(out)["truncated"] is True
 
 
-def test_intersect_command(capsys):
+def test_intersect_command(capsys, tmp_path):
+    dot_path = tmp_path / "inter.dot"
     code, out = run(capsys, [
-        "intersect", "--gens1", "aa|b|abA", "--gens2", "a|b",
+        "intersect", "--gens1", "aa|b|abA", "--gens2", "a|b", "--dot", str(dot_path),
     ])
     assert code == 0
     payload = json.loads(out)
     assert payload["index"] == 2
     assert abs(payload["cogrowth"]["alpha"] - 3.0) < 1e-6
+    assert dot_path.read_text() == (
+        "digraph stallings {\n"
+        "  q0 [shape=doublecircle];\n"
+        "  q1 [shape=circle];\n"
+        '  q0 -> q1 [label="a"];\n'
+        '  q0 -> q0 [label="b"];\n'
+        '  q1 -> q0 [label="a"];\n'
+        '  q1 -> q1 [label="b"];\n'
+        "}\n"
+    )
 
 
 def test_cogrowth_command(capsys):
@@ -74,6 +86,12 @@ def test_sample_command(capsys):
     ])
     assert code == 0
     assert json.loads(out)["data"]["sites"] == list(range(-3, 4))
+    code, out = run(capsys, [
+        "sample", "--family", "permutation", "--n", "12", "--d", "2", "--seed", "3",
+    ])
+    assert code == 0
+    perms = permutation_stabilizer_oracle(12, 2, 3).perms
+    assert json.loads(out)["data"]["perms"] == [p.tolist() for p in perms]
 
 
 def _write_graphing(tmp_path, n=6):

@@ -4,15 +4,21 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from helpers import dense_embedded, naive_energy, naive_markov, naive_mtp, random_graphing, union_find_components
+from helpers import (
+    check_rokhlin,
+    dense_embedded,
+    naive_energy,
+    naive_markov,
+    naive_mtp,
+    random_graphing,
+    union_find_components,
+)
 from cospectral.errors import ValidationError
 from cospectral.graphing import (
     Graphing,
     PartialMap,
     RokhlinPartition,
     TestFunction,
-    cesaro_average,
-    check_rokhlin,
     embedded_spectral_radius,
     graphing_from_text,
     graphing_to_text,
@@ -288,35 +294,6 @@ def test_embedded_matches_dense_on_random_graphings():
         )
 
 
-def test_cesaro_identity_and_constant():
-    g = cycle_graphing(8)
-    f = np.arange(8, dtype=float)
-    assert np.array_equal(cesaro_average(g, f, 1), f)
-    const = np.full(8, 3.5)
-    assert np.allclose(cesaro_average(g, const, 17), const)
-
-
-def test_cesaro_cycle_flattens_indicator():
-    n = 10
-    g = cycle_graphing(n)
-    f = np.zeros(n)
-    f[0] = 1.0
-    avg = cesaro_average(g, f, 500)
-    assert np.allclose(avg, 1.0 / n, atol=0.02)
-    assert avg.sum() == pytest.approx(1.0)
-
-
-def test_cesaro_validates_m():
-    with pytest.raises(ValidationError):
-        cesaro_average(cycle_graphing(4), np.zeros(4), 0)
-
-
-def test_cesaro_checks_the_shape_of_f():
-    for m in (1, 4):
-        with pytest.raises(ValidationError):
-            cesaro_average(cycle_graphing(3), np.ones(7), m)
-
-
 def _two_point_swap():
     swap = {0: 1, 1: 0}
     return Graphing([1.0, 1.0], [("swap", swap), ("swap~", swap)])
@@ -460,6 +437,15 @@ def test_graphing_validation_errors():
         Graphing([1.0, 1.0], [("m", {0: 1})])  # inverse missing
     with pytest.raises(ValidationError):
         PartialMap("m", {0: 1, 1: 1})  # not injective
+
+
+def test_from_pairs_gives_each_repeated_map_its_own_inverse():
+    rotation = {0: 1, 1: 2, 2: 0}
+    g = Graphing.from_pairs([1, 1, 1], [("a", rotation), ("b", rotation)])
+    assert [m.label for m in g.maps] == ["a", "b", "a~", "b~"]
+    assert g.inv_index == (2, 3, 0, 1)
+    swap = Graphing.from_pairs([1, 1], [("s", {0: 1, 1: 0}), ("t", {0: 1, 1: 0})])
+    assert [m.label for m in swap.maps] == ["s", "t"]  # involutions are their own inverses
 
 
 def test_text_format_roundtrip():

@@ -4,6 +4,7 @@ import pytest
 from helpers import (
     ball_key,
     brute_force_pair_components,
+    conjugate,
     reference_ball,
     reference_prefix_counts,
     reference_sweep,
@@ -19,7 +20,6 @@ from cospectral.irs import (
 from cospectral.schreier import (
     ball_to_dot,
     reroot,
-    conjugate_oracle,
     count_reduced_returns,
     enumerate_double_cosets,
     folner_defect,
@@ -88,8 +88,8 @@ def test_interior_boundary_interval_on_line():
     interval = [ball.index[k] for k in range(-2, 3)]  # 5 consecutive cosets
     comp = interior_boundary(ball, interval)
     assert sorted(comp.subset_ids()) == [-2, -1, 0, 1, 2]
-    assert sorted(comp.interior_ids()) == [-1, 0, 1]
-    assert sorted(comp.boundary_ids()) == [-3, 3]
+    assert sorted(ball.ids_of(comp.interior.tolist())) == [-1, 0, 1]
+    assert sorted(ball.ids_of(comp.outer_boundary.tolist())) == [-3, 3]
     assert not comp.truncated
 
 
@@ -359,7 +359,7 @@ def _reference_cases():
     coded ones in every family and in products and reroots of them."""
     zkernel = kernel_to_Z_oracle(2, (1, -2))
     stallings = StallingsOracle(build_automaton("ab,ba", 2))
-    tail_root = conjugate_oracle(stallings, parse_word("aab"))
+    tail_root = conjugate(stallings, parse_word("aab"))
     assert len(tail_root.root) > 4  # a coset in a hanging tree
     products = [
         product_oracle(zkernel, stallings),
@@ -371,7 +371,7 @@ def _reference_cases():
         for entry in enumerate_double_cosets(prod.o1, prod.o2, 3, component_cap=300)
     ]
     wreath = wreath_percolation_oracle(sample_bernoulli_percolation(0.5, 12, 2))
-    lamp_root = conjugate_oracle(wreath, Word((2, 1, 3, 1, 2)))  # a.s.b.s.a
+    lamp_root = conjugate(wreath, Word((2, 1, 3, 1, 2)))  # a.s.b.s.a
     assert lamp_root.root[0]  # a coset with lamps
     edge = wreath_percolation_oracle(sample_bernoulli_percolation(0.5, 3, 1))
     radii = range(6)
@@ -480,8 +480,8 @@ def test_component_ids_replay_each_tree_vertex_at_most_once():
     stored = ball.n_vertices + ball.n_outer
     got = []
     for read, indices in ((component.subset_ids, component.subset),
-                          (component.interior_ids, component.interior),
-                          (component.boundary_ids, component.outer_boundary)):
+                          (lambda: ball.ids_of(component.interior.tolist()), component.interior),
+                          (lambda: ball.ids_of(component.outer_boundary.tolist()), component.outer_boundary)):
         oracle.calls = 0
         got.append((read(), indices))
         assert oracle.calls <= stored  # one path per vertex took 98,416 calls
@@ -552,7 +552,7 @@ def test_word_to_reaches_vertex():
 
 def test_conjugate_oracle_is_rerooted_graph():
     oracle = kernel_to_Z_oracle(2, (1, 0))
-    conj = conjugate_oracle(oracle, parse_word("a"))
+    conj = conjugate(oracle, parse_word("a"))
     assert conj.root == 1
     assert ball_key(generate_ball(conj, 4)) == ball_key(generate_ball(oracle, 4))
 
