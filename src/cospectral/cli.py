@@ -199,9 +199,7 @@ def _cmd_experiment(args) -> int:
                 f"line asked for {args.name!r}"
             )
     else:
-        config = ExperimentConfig(experiment=args.name, **{
-            k: v for k, v in overrides.items() if k != "experiment"
-        })
+        config = ExperimentConfig(experiment=args.name, **overrides)
     report = run_experiment(config)
     if config.out:
         export(report, "json", config.out + ".json")

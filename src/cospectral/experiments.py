@@ -94,9 +94,12 @@ class ExperimentConfig:
         return record
 
 
-_INT_FIELDS = {"radius", "d", "component_cap", "vertex_cap", "window", "max_len",
-               "n_lengths", "max_generators", "max_word_len"}
-_FLOAT_FIELDS = {"gap_tol"}
+# config-file values of these fields are read as numbers of their declared type
+_NUMBER_TYPES = {
+    f.name: {"int": int, "float": float}[f.type]
+    for f in fields(ExperimentConfig)
+    if f.type in ("int", "float")
+}
 
 
 def parse_int_set(spec: str) -> list[int]:
@@ -124,10 +127,8 @@ def _coerce(key: str, value: str):
         if not seeds:
             raise ValidationError("seeds must name at least one seed")
         return seeds
-    if key in _INT_FIELDS:
-        return _number(int, value, key)
-    if key in _FLOAT_FIELDS:
-        return _number(float, value, key)
+    if key in _NUMBER_TYPES:
+        return _number(_NUMBER_TYPES[key], value, key)
     return value
 
 
@@ -468,7 +469,7 @@ def exp_cogrowth_sweep(config: ExperimentConfig) -> dict:
         alpha_ratio = (
             (counts[-1] / counts[-3]) ** 0.5 if n >= 3 and counts[-3] > 0 else None
         )
-        delta_h2 = critical_exponent(cg)
+        delta_h2 = cg.delta
         delta_int = critical_exponent(alpha_root) if alpha_root > 0 else None
         rows.append({
             "seed": seed,

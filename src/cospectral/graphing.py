@@ -14,14 +14,14 @@ spectral witness from a factor system to a product with a Folner set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
 import numpy as np
 
 from .errors import ValidationError, _number
 from .schreier import SchreierBall, folner_defect, interior_boundary
-from .spectral import _neighbor_average, _top_eigenpair
+from .spectral import _neighbor_average, _restricted_average, _top_eigenpair
 
 __all__ = [
     "PartialMap",
@@ -129,7 +129,7 @@ class Graphing:
         f = np.asarray(f, dtype=float)
         if f.shape != (self.n_points,):
             raise ValidationError(f"function must have shape ({self.n_points},)")
-        return f[self.table].sum(axis=1) / self.n_maps
+        return _neighbor_average(self.table)(f)
 
 
 def _pair_inverses(maps: Sequence[PartialMap]) -> list[int | None]:
@@ -356,9 +356,7 @@ def embedded_spectral_radius(g: Graphing, subset: Iterable[int]) -> float:
     interior = interior_of(g, subset)
     if len(interior) == 0:
         return 0.0
-    local = np.full(g.n_points, len(interior))
-    local[interior] = np.arange(len(interior))
-    matvec = _neighbor_average(local[g.table[interior]])
+    matvec = _restricted_average(g.table, interior, g.n_points)
     value, _, _, _ = _top_eigenpair(matvec, np.ones(len(interior)))
     return min(value, 1.0)
 
@@ -410,17 +408,7 @@ class ProductTestReport:
     product: "Graphing"
 
     def to_json(self) -> dict:
-        return {
-            "lambda2_prime": self.lambda2_prime,
-            "folner_defect": self.folner_defect,
-            "n_letters": self.n_letters,
-            "lhs": self.lhs,
-            "norm_sq": self.norm_sq,
-            "bound": self.bound,
-            "slack": self.slack,
-            "inequality_holds": self.inequality_holds,
-            "component_shares": list(self.component_shares),
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "product"}
 
 
 def product_test_function(

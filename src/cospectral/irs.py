@@ -290,7 +290,8 @@ def kernel_to_Z_oracle(d: int, weights: Sequence[int]) -> ZKernelOracle:
 # --- sample serialization ---------------------------------------------------
 
 def sample_to_json(obj) -> dict:
-    """JSON record {family, params, seed, data}."""
+    """JSON record {family, params, seed, data} of a percolation sample or
+    a permutation-stabilizer oracle."""
     if isinstance(obj, PercolationSample):
         return {
             "family": "percolation",
@@ -298,20 +299,11 @@ def sample_to_json(obj) -> dict:
             "seed": obj.seed,
             "data": {"sites": sorted(obj.sites)},
         }
-    if isinstance(obj, WreathPercolationOracle):
-        return sample_to_json(obj.sample)
     if isinstance(obj, PermutationStabilizerOracle):
         return {
             "family": "permutation",
             "params": {"n": obj.n_points, "d": obj.d},
             "seed": obj.seed,
             "data": {"perms": [p.tolist() for p in obj.perms]},
-        }
-    if isinstance(obj, ZKernelOracle):
-        return {
-            "family": "zkernel",
-            "params": {"d": obj.d, "weights": list(obj.weights)},
-            "seed": None,
-            "data": {},
         }
     raise ValidationError(f"cannot serialize {type(obj).__name__}")

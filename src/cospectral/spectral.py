@@ -10,12 +10,12 @@ functions on the coset space.  Two certified lower bounds are provided:
 * return probabilities, p_{2n}(root, root)^(1/2n) <= rho by self-adjointness,
   from 2n applications of the same ball-table matvec to the root indicator.
 
-Both apply one matvec, ``_neighbor_average``, hundreds of times, so for
-fewer than 8 generator slots it reads its neighbor table slot-major: a
-``(2d, n)`` copy made once per operator, gathered with one ``take`` and
-summed over the leading axis.  numpy adds a short row in index order, and a
-leading-axis sum adds the same terms in the same order, so every estimate
-keeps the bits of the row-major sum.
+Both apply one matvec, ``_neighbor_average``, hundreds of times, so it
+reads its neighbor table slot-major: a ``(2d, n)`` copy made once per
+operator, gathered with one ``take`` and summed over the leading axis, the
+slots added in order, at every width.  The graphing Markov operator and
+the embedded spectral radius share it.  The solver's tolerance and matvec
+cap are module constants.
 
 For f.g. subgroups of free groups the cogrowth base alpha converts to the
 exact co-spectral radius through the classical cogrowth formula.
@@ -31,7 +31,6 @@ import numpy as np
 
 from .errors import BallCapExceeded, ValidationError
 from .schreier import DEFAULT_VERTEX_CAP, SchreierBall, SubgroupOracle, generate_ball
-from .stallings import CogrowthResult
 
 __all__ = [
     "SpectralEstimate",
@@ -83,13 +82,14 @@ _KRYLOV_DIM = 32
 # on the scale of |A q|, and normalising it into the basis wrecks the Ritz
 # vector.
 _BREAKDOWN = 1e-12
+# A solve stops once |A v - value v| <= _TOL, or after _MAX_MATVECS operator
+# applications with the estimate flagged not converged.
+_TOL = 1e-10
+_MAX_MATVECS = 200_000
 
 
 def _top_eigenpair(
-    matvec: Callable[[np.ndarray], np.ndarray],
-    start: np.ndarray,
-    tol: float = 1e-10,
-    max_iterations: int = 200_000,
+    matvec: Callable[[np.ndarray], np.ndarray], start: np.ndarray
 ) -> tuple[float, np.ndarray, int, float]:
     """Top eigenpair of a symmetric nonnegative operator by restarted Lanczos.
 
@@ -99,9 +99,9 @@ def _top_eigenpair(
     Rayleigh quotient.  Returns (value, unit vector, matvecs, residual)
     where value is the Rayleigh quotient of the returned vector, computed
     from a fresh operator application, so it is a certified lower bound for
-    the top eigenvalue whether or not |A v - value v| reached ``tol``.
+    the top eigenvalue whether or not |A v - value v| reached ``_TOL``.
     ``matvecs`` counts operator applications and never exceeds
-    ``max_iterations``.
+    ``_MAX_MATVECS``.
     """
     v = start / np.linalg.norm(start)
     av = matvec(v)
@@ -110,7 +110,7 @@ def _top_eigenpair(
     while True:
         value = float(v @ av)
         residual = float(np.linalg.norm(av - value * v))
-        if residual <= tol or matvecs >= max_iterations:
+        if residual <= _TOL or matvecs >= _MAX_MATVECS:
             return value, v, matvecs, residual
         basis[0] = v
         w = av
@@ -128,7 +128,7 @@ def _top_eigenpair(
             w -= again @ q
             alphas.append(float(coef[j] + again[j]))
             beta = float(np.linalg.norm(w))
-            if j + 1 == len(basis) or beta <= _BREAKDOWN * scale or matvecs >= max_iterations - 1:
+            if j + 1 == len(basis) or beta <= _BREAKDOWN * scale or matvecs >= _MAX_MATVECS - 1:
                 break
             betas.append(beta)
             basis[j + 1] = w / beta
@@ -145,21 +145,14 @@ def _neighbor_average(table: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
 
     ``table[i, k]`` is the local index of row i's k-th neighbor; index
     ``len(table)`` stands for every neighbor outside the support, where
-    functions vanish.  A table fewer than 8 columns wide is kept as a
-    slot-major ``(width, n)`` copy, so a matvec is one ``take`` of
-    contiguous columns and a sum over the leading axis, which adds each
-    row in the order and with the bits of ``padded[table].sum(axis=1)``.
-    numpy sums a row of 8 or more pairwise, so a wider table keeps that
-    row-major sum.
+    functions vanish.  The table is kept as a slot-major ``(width, n)``
+    copy, so a matvec is one ``take`` of contiguous columns and a sum over
+    the leading axis, which adds each row's slots in order from the first.
+    Below 8 columns that is also how numpy adds a row, so the bits are
+    those of ``padded[table].sum(axis=1)``.
     """
     padded = np.zeros(len(table) + 1)
     width = table.shape[1]
-    if width >= 8:
-        def matvec(x: np.ndarray) -> np.ndarray:
-            padded[:-1] = x
-            return padded[table].sum(axis=1) / width
-
-        return matvec
     columns = np.ascontiguousarray(table.T)
 
     def matvec(x: np.ndarray) -> np.ndarray:
@@ -167,6 +160,19 @@ def _neighbor_average(table: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
         return np.add.reduce(padded.take(columns), axis=0) / width
 
     return matvec
+
+
+def _restricted_average(
+    nbr: np.ndarray, rows: np.ndarray, n_points: int
+) -> Callable[[np.ndarray], np.ndarray]:
+    """Averaging matvec on functions supported on ``rows``.
+
+    ``nbr`` is the neighbor table of all ``n_points`` points, ``rows`` the
+    support; neighbors outside it read zero.
+    """
+    local = np.full(n_points, len(rows))
+    local[rows] = np.arange(len(rows))
+    return _neighbor_average(local[nbr[rows]])
 
 
 def _interior_rows(ball: SchreierBall, radius: int) -> np.ndarray:
@@ -178,10 +184,7 @@ def _interior_rows(ball: SchreierBall, radius: int) -> np.ndarray:
 
 
 def dirichlet_vector(
-    ball: SchreierBall,
-    radius: int | None = None,
-    tol: float = 1e-10,
-    max_iterations: int = 200_000,
+    ball: SchreierBall, radius: int | None = None
 ) -> tuple[SpectralEstimate, np.ndarray, np.ndarray]:
     """Dirichlet eigen-solve; also returns the nonnegative unit vector whose
     Rayleigh quotient is the estimate, and its support rows.
@@ -196,29 +199,18 @@ def dirichlet_vector(
         raise ValidationError(f"dirichlet bound needs ball radius >= 1, got {r}")
     if r > ball.radius:
         raise ValidationError(f"requested radius {r} exceeds ball radius {ball.radius}")
-    if tol <= 0:
-        raise ValidationError("tolerance must be positive")
-    if max_iterations < 1:
-        raise ValidationError("iteration cap must be >= 1")
     rows = _interior_rows(ball, r)
-    local = np.full(ball.n_vertices + ball.n_outer, len(rows))
-    local[rows] = np.arange(len(rows))
     start = np.zeros(len(rows))
     start[0] = 1.0  # row 0 is the root: its neighbors lie within radius 1 <= r
     value, v, iterations, residual = _top_eigenpair(
-        _neighbor_average(local[ball.nbr[rows]]), start, tol, max_iterations
+        _restricted_average(ball.nbr, rows, ball.n_vertices + ball.n_outer), start
     )
-    flags = () if residual <= tol else ("not_converged",)
+    flags = () if residual <= _TOL else ("not_converged",)
     estimate = SpectralEstimate(min(value, 1.0), "dirichlet", r, iterations, residual, False, flags)
     return estimate, v, rows
 
 
-def dirichlet_lower_bound(
-    ball: SchreierBall,
-    tol: float = 1e-10,
-    max_iterations: int = 200_000,
-    radius: int | None = None,
-) -> SpectralEstimate:
+def dirichlet_lower_bound(ball: SchreierBall, radius: int | None = None) -> SpectralEstimate:
     """Top Rayleigh quotient of M over functions supported on the interior
     of the radius-R ball: a certified lower bound for the co-spectral radius.
 
@@ -226,35 +218,29 @@ def dirichlet_lower_bound(
     of a ball is the ball of that radius, so estimates at several radii can
     share one BFS).
     """
-    estimate, _, _ = dirichlet_vector(ball, radius=radius, tol=tol, max_iterations=max_iterations)
+    estimate, _, _ = dirichlet_vector(ball, radius)
     return estimate
 
 
 def return_probability_bound(
     oracle: SubgroupOracle,
     n: int,
-    truncation_radius: int | None = None,
     state_cap: int = DEFAULT_VERTEX_CAP,
 ) -> SpectralEstimate:
     """p_{2n}(root, root)^(1/2n), from 2n exact steps of the averaging
     operator on a ball window.
 
-    The walk runs on the ball of radius ``truncation_radius`` (default n),
-    or n if that is smaller, and mass leaving the ball is dropped.  A walk
-    that returns within 2n steps never leaves the radius-n ball, so there
-    the value is exact.  ``state_cap`` is the ball's vertex cap, outer rim
-    included; past it the walk runs on the largest ball that fits, and on
-    no ball (value 0) if even the root's rim does not fit.  Mass dropped
-    below distance n only lowers the return probability, so the result
-    remains a valid lower bound and is flagged truncated.  ``radius`` is
-    the radius the walk used.
+    The walk runs on the ball of radius n: a walk that returns within 2n
+    steps never leaves it, so there the value is exact.  ``state_cap`` is
+    the ball's vertex cap, outer rim included; past it the walk runs on the
+    largest ball that fits, dropping the mass that leaves it, and on no
+    ball (value 0) if even the root's rim does not fit.  Dropped mass only
+    lowers the return probability, so the result remains a valid lower
+    bound and is flagged truncated.  ``radius`` is the radius the walk used.
     """
     if n < 1:
         raise ValidationError(f"n must be >= 1, got {n}")
-    trunc = n if truncation_radius is None else truncation_radius
-    if trunc < 0:
-        raise ValidationError("truncation radius must be >= 0")
-    radius = min(trunc, n)
+    radius = n
     steps = 2 * n
     try:
         ball = generate_ball(oracle, radius, vertex_cap=state_cap)
@@ -304,9 +290,9 @@ def grigorchuk_rho(alpha: float, d: int) -> float:
     return (alpha + top / alpha) / (2 * d)
 
 
-def critical_exponent(cogrowth: CogrowthResult | float) -> float | None:
+def critical_exponent(alpha: float) -> float | None:
     """Critical exponent delta = ln(alpha); None for the trivial subgroup."""
-    alpha = cogrowth.alpha if isinstance(cogrowth, CogrowthResult) else float(cogrowth)
+    alpha = float(alpha)
     if alpha < 0:
         raise ValidationError(f"alpha must be >= 0, got {alpha}")
     return math.log(alpha) if alpha > 0 else None

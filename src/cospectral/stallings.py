@@ -4,7 +4,10 @@ An automaton is a based, connected, folded graph whose edges carry positive
 generator labels and are traversable both ways.  Construction goes bouquet ->
 fold -> core; the folded automaton decides membership by deterministic
 tracing, intersections come from the based product, and the cogrowth rate is
-the Perron value of the non-backtracking operator on directed edges.
+the Perron value of the non-backtracking operator on directed edges.  That
+operator has one slot-major kernel at every width, shared with the exact
+path counts of ``schreier``; the power iteration's tolerance and cap are
+module constants.
 
 States are relabeled canonically (BFS from the base, letters in a fixed
 order) on construction, so two automata accept the same subgroup with the
@@ -13,7 +16,8 @@ same labeled shape iff their transition tables are equal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import asdict, dataclass
 from typing import Callable, Iterable, Sequence, Union
 
 import numpy as np
@@ -361,13 +365,7 @@ class CogrowthResult:
     converged: bool
 
     def to_json(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "delta": self.delta,
-            "iterations": self.iterations,
-            "residual": self.residual,
-            "converged": self.converged,
-        }
+        return asdict(self)
 
 
 def _nonbacktracking(table: np.ndarray, d: int, dtype) -> Callable[[np.ndarray], np.ndarray]:
@@ -383,12 +381,10 @@ def _nonbacktracking(table: np.ndarray, d: int, dtype) -> Callable[[np.ndarray],
     flat index.  Missing slots read a zero sentinel column, so Bx vanishes
     there.
 
-    The slot total is a sum over the leading axis, in 2d contiguous passes.
-    numpy adds a row of fewer than 8 floats in index order from the first,
-    and so does the leading-axis sum, so the bits match the row-major
-    ``sum(axis=1)``.  From 8 floats on numpy sums a row pairwise, so a
-    float table that wide is totalled from a row-major copy.  Integer and
-    object sums do not depend on their order.
+    The slot total is a sum over the leading axis, in 2d contiguous passes
+    that add the slots in order.  Integer and object sums do not depend on
+    their order; a float total of fewer than 8 slots has the bits of the
+    row-major ``sum(axis=1)``, since numpy adds such a row in order too.
     """
     width = 2 * d
     n = len(table)
@@ -396,25 +392,21 @@ def _nonbacktracking(table: np.ndarray, d: int, dtype) -> Callable[[np.ndarray],
     reverse = (np.arange(width) + d) % width
     back = reverse[:, None] * (n + 1) + targets  # flat index of x[s', t] in ``padded``
     padded = np.zeros((width, n + 1), dtype=dtype)
-    if width < 8 or not np.issubdtype(padded.dtype, np.floating):
-        def total():
-            return np.add.reduce(padded, axis=0)
-    else:
-        def total():
-            return np.ascontiguousarray(padded.T).sum(axis=1)
 
     def matvec(x: np.ndarray) -> np.ndarray:
         padded[:, :-1] = x
-        return total().take(targets) - padded.take(back)
+        return np.add.reduce(padded, axis=0).take(targets) - padded.take(back)
 
     return matvec
 
 
-def cogrowth_rate(
-    automaton: StallingsAutomaton,
-    tol: float = 1e-10,
-    max_iterations: int = 100_000,
-) -> CogrowthResult:
+# Power iteration stops once the sup-norm residual is <= _TOL, or after
+# _MAX_ITERATIONS iterations with the result flagged not converged.
+_TOL = 1e-10
+_MAX_ITERATIONS = 100_000
+
+
+def cogrowth_rate(automaton: StallingsAutomaton) -> CogrowthResult:
     """Cogrowth base alpha of the subgroup's core automaton.
 
     Power iteration runs on I + B where B is the non-backtracking operator
@@ -422,11 +414,11 @@ def cogrowth_rate(
     identity shift removes the oscillation of periodic edge graphs (pure
     cycles) without moving the Perron value.  Each iteration costs one
     matvec: the residual's image of the iterate is the next iterate.
-    alpha = 0 for the trivial subgroup.  Hitting the iteration cap returns
-    the best estimate with the residual flagged via converged=False.
+    alpha = 0 for the trivial subgroup, whose delta = ln(alpha) is None.
+    The iteration stops at a sup-norm residual of ``_TOL``; hitting
+    ``_MAX_ITERATIONS`` first returns the best estimate with
+    converged=False.
     """
-    if max_iterations < 1:
-        raise ValidationError("iteration cap must be >= 1")
     n = automaton.n_states
     table = np.array(
         [[n if t is None else t for t in row] for row in automaton.table], dtype=np.int64
@@ -437,17 +429,17 @@ def cogrowth_rate(
     step = _nonbacktracking(table, automaton.d, float)
     v = present.T.astype(float)
     w = v + step(v)
-    for iterations in range(1, max_iterations + 1):
+    for iterations in range(1, _MAX_ITERATIONS + 1):
         # w >= 0, so its max is its sup norm; >= 1: (I + B) never shrinks it
         lam = float(w.max())
         v = w / lam
         w = v + step(v)
         residual = float(abs(w - lam * v).max())
-        if residual <= tol:
+        if residual <= _TOL:
             break
     alpha = lam - 1.0
-    delta = float(np.log(alpha)) if alpha > 0 else None
-    return CogrowthResult(alpha, delta, iterations, residual, residual <= tol)
+    delta = math.log(alpha) if alpha > 0 else None
+    return CogrowthResult(alpha, delta, iterations, residual, residual <= _TOL)
 
 
 def automaton_to_dot(automaton: StallingsAutomaton, name: str = "stallings") -> str:

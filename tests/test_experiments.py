@@ -1,11 +1,14 @@
 import json
+import math
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
+from cospectral.cli import main
 from cospectral.errors import ValidationError
 from cospectral.experiments import (
     ExperimentConfig,
@@ -23,8 +26,8 @@ from cospectral.experiments import (
     run_experiment,
 )
 from cospectral.schreier import StallingsOracle, count_reduced_returns, generate_ball
-from cospectral.spectral import dirichlet_lower_bound
-from cospectral.stallings import build_automaton
+from cospectral.spectral import critical_exponent, dirichlet_lower_bound
+from cospectral.stallings import build_automaton, cogrowth_rate
 
 
 def test_parse_int_set():
@@ -67,6 +70,17 @@ def test_config_file_roundtrip(tmp_path):
     override = load_config(str(path), {"radius": 9, "seeds": "1|3"})
     assert override.radius == 9
     assert override.seeds == (1, 3)
+
+
+def test_config_file_numbers_get_their_declared_types(tmp_path):
+    numeric = [f for f in fields(ExperimentConfig) if f.type in ("int", "float")]
+    assert {f.name for f in numeric} >= {"radius", "vertex_cap", "gap_tol"}
+    path = tmp_path / "exp.cfg"
+    path.write_text("experiment = main_theorem\n" + "".join(f"{f.name} = 3\n" for f in numeric))
+    config = load_config(str(path))
+    for f in numeric:
+        value = getattr(config, f.name)
+        assert type(value).__name__ == f.type and value == 3, f.name
 
 
 def test_config_rejects_unknown_keys(tmp_path):
@@ -223,6 +237,21 @@ def test_cogrowth_sweep_trivial_h2_sentinels():
     assert row["alpha_h2"] == 0.0
     assert row["delta_h2"] is None
     assert row["delta_intersection"] is None
+
+
+def test_cogrowth_sweep_delta_is_the_cogrowth_delta(capsys):
+    # ln(alpha) by numpy and by math differ in the last bit for this subgroup
+    gens = "aabAA|BA|bbaaab"
+    result = cogrowth_rate(build_automaton(gens.replace("|", ","), 2))
+    assert result.delta == math.log(result.alpha) == critical_exponent(result.alpha)
+    config = ExperimentConfig(
+        experiment="cogrowth_sweep", oracle1="whole", gens2=gens, seeds=(0,), n_lengths=4,
+    )
+    row = exp_cogrowth_sweep(config)["rows"][0]
+    assert row["alpha_h2"] == result.alpha
+    assert row["delta_h2"] == result.delta
+    assert main(["cogrowth", "--gens", gens]) == 0
+    assert json.loads(capsys.readouterr().out)["delta"] == result.delta
 
 
 def test_cogrowth_sweep_kernel_intersection_estimate():

@@ -11,6 +11,7 @@ from cospectral.irs import (
     longest_segment,
     permutation_stabilizer_oracle,
     sample_bernoulli_percolation,
+    sample_to_json,
     wreath_percolation_oracle,
 )
 from cospectral.schreier import generate_ball
@@ -176,3 +177,10 @@ def test_longest_segment():
     assert longest_segment({0, 1, 2, 5, 6}) == 3
     assert longest_segment(set()) == 0
     assert longest_segment({-2, -1, 0, 1}) == 4
+
+
+def test_sample_to_json_rejects_what_the_cli_never_samples():
+    sample = sample_bernoulli_percolation(1.0, 3, 0)
+    for other in (kernel_to_Z_oracle(2, (1, 0)), wreath_percolation_oracle(sample)):
+        with pytest.raises(ValidationError, match="cannot serialize"):
+            sample_to_json(other)

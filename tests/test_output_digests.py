@@ -1,0 +1,26 @@
+"""The output digest script runs every report and perfbench round it names."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+EXPERIMENTS = ("cogrowth_sweep", "main_theorem", "sup_conjugates", "wreath_counterexample")
+WORKLOADS = ("free_windows", "main_theorem", "combinatorics")
+
+
+def test_output_digests_every_line_passes():
+    proc = subprocess.run(
+        [sys.executable, "scripts/output_digests.py"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    lines = [line.split() for line in proc.stdout.splitlines()]
+    reports = [(f, len(h)) for kind, f, h in (l for l in lines if l[0] == "report")]
+    assert reports == [(f"{e}.{fmt}", 64) for e in EXPERIMENTS for fmt in ("csv", "json")]
+    rounds = [l for l in lines if l[0] == "perfbench"]
+    assert [(w, seed) for _, w, _, seed, _, _ in rounds] == [
+        (w, seed) for w in WORKLOADS for seed in ("0", "1")
+    ]
+    assert all(len(digest) == 64 and verdict == "pass" for *_, digest, verdict in rounds)
+    assert len(lines) == len(reports) + len(rounds)

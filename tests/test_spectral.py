@@ -1,10 +1,11 @@
+import functools
 import math
 
 import numpy as np
 import pytest
 
 from helpers import dense_dirichlet
-from cospectral import spectral
+from cospectral import spectral, stallings
 from cospectral.errors import ValidationError
 from cospectral.irs import (
     kernel_to_Z_oracle,
@@ -105,19 +106,17 @@ def test_dirichlet_validations():
         dirichlet_lower_bound(ball, radius=0)
     with pytest.raises(ValidationError):
         dirichlet_lower_bound(ball, radius=5)
-    with pytest.raises(ValidationError):
-        dirichlet_lower_bound(ball, tol=0.0)
 
 
 def test_return_probability_line():
-    est = return_probability_bound(kernel_to_Z_oracle(1, (1,)), 2, truncation_radius=4)
+    est = return_probability_bound(kernel_to_Z_oracle(1, (1,)), 2)
     assert est.value == pytest.approx((6 / 16) ** 0.25)
     assert not est.truncated
     assert est.iterations == 4
 
 
 def test_return_probability_tree():
-    est = return_probability_bound(trivial_subgroup_oracle(2), 1, truncation_radius=2)
+    est = return_probability_bound(trivial_subgroup_oracle(2), 1)
     assert est.value == pytest.approx(0.5)
 
 
@@ -127,11 +126,24 @@ def test_return_probability_whole_group():
 
 
 def test_return_probability_truncation_is_still_lower_bound():
+    # 53 vertices hold the tree's B(2) and its rim (17 + 36) but not B(3)
     oracle = trivial_subgroup_oracle(2)
-    truncated = return_probability_bound(oracle, 3)  # default radius n=3
-    full = return_probability_bound(oracle, 3, truncation_radius=6)
+    truncated = return_probability_bound(oracle, 3, state_cap=53)
+    full = return_probability_bound(oracle, 3)
+    assert (truncated.radius, truncated.truncated) == (2, True)
     assert truncated.value <= full.value + 1e-12
-    assert not full.truncated
+    assert (full.radius, full.truncated) == (3, False)
+
+
+def _walk_return(oracle, n, radius):
+    """p_2n(root, root)^(1/2n) from a 2n-step walk on the radius-``radius`` ball."""
+    ball = generate_ball(oracle, radius)
+    walk = spectral._neighbor_average(np.minimum(ball.nbr, ball.n_vertices))
+    x = np.zeros(ball.n_vertices)
+    x[0] = 1.0
+    for _ in range(2 * n):
+        x = walk(x)
+    return x[0] ** (1.0 / (2 * n))
 
 
 def test_return_probability_default_radius_is_exact():
@@ -143,10 +155,9 @@ def test_return_probability_default_radius_is_exact():
     ):
         for n in (1, 2, 3, 4):
             default = return_probability_bound(oracle, n)
-            wide = return_probability_bound(oracle, n, truncation_radius=2 * n)
-            assert default.value == wide.value
-            assert not default.truncated and not wide.truncated
-    assert return_probability_bound(trivial_subgroup_oracle(2), 3, truncation_radius=2).truncated
+            assert default.value == _walk_return(oracle, n, 2 * n)
+            assert default.radius == n and not default.truncated
+    assert return_probability_bound(trivial_subgroup_oracle(2), 3, state_cap=53).truncated
 
 
 def test_supermultiplicativity_untruncated():
@@ -157,7 +168,7 @@ def test_supermultiplicativity_untruncated():
     ):
         p = {}
         for n in (1, 2, 3, 4, 5):
-            est = return_probability_bound(oracle, n, truncation_radius=2 * n)
+            est = return_probability_bound(oracle, n)
             assert not est.truncated
             p[2 * n] = est.value ** (2 * n)
         for m in (1, 2):
@@ -202,7 +213,7 @@ def test_critical_exponent():
     assert critical_exponent(3.0) == pytest.approx(math.log(3))
     assert critical_exponent(1.0) == 0.0
     assert critical_exponent(0.0) is None
-    assert critical_exponent(cogrowth_rate(build_automaton([], 2))) is None
+    assert critical_exponent(cogrowth_rate(build_automaton([], 2)).alpha) is None
     with pytest.raises(ValidationError):
         critical_exponent(-1.0)
 
@@ -227,12 +238,12 @@ def test_return_probability_below_formula_value():
         automaton = build_automaton(gens, 2)
         oracle = StallingsOracle(automaton)
         rho = grigorchuk_rho(cogrowth_rate(automaton).alpha, 2)
-        est = return_probability_bound(oracle, 4, truncation_radius=8)
+        est = return_probability_bound(oracle, 4)
         assert est.value <= rho + 0.02
 
 
 def test_return_probability_state_cap_flags_truncated():
-    est = return_probability_bound(trivial_subgroup_oracle(2), 4, truncation_radius=8, state_cap=10)
+    est = return_probability_bound(trivial_subgroup_oracle(2), 4, state_cap=10)
     assert est.truncated
     assert est.value <= math.sqrt(3) / 2  # still a valid lower bound
     # the root's rim alone overflows the cap: no walk, value 0, no exception
@@ -250,7 +261,7 @@ def test_return_probability_cap_rebuilds_once(monkeypatch):
 
     monkeypatch.setattr(spectral, "generate_ball", counting)
     tree = trivial_subgroup_oracle(2)
-    est = return_probability_bound(tree, 4, truncation_radius=8, state_cap=10)
+    est = return_probability_bound(tree, 4, state_cap=10)
     assert (est.radius, est.value, est.truncated) == (0, 0.0, True)
     assert calls == [4, 0]
     calls.clear()
@@ -259,32 +270,43 @@ def test_return_probability_cap_rebuilds_once(monkeypatch):
     assert calls == [6, 3]
 
 
-def test_non_convergence_flagged():
+def test_non_convergence_flagged(monkeypatch):
+    monkeypatch.setattr(spectral, "_MAX_MATVECS", 3)
     ball = generate_ball(kernel_to_Z_oracle(1, (1,)), 10)
-    est = dirichlet_lower_bound(ball, max_iterations=3)
+    est = dirichlet_lower_bound(ball)
     assert "not_converged" in est.flags
+    assert est.iterations <= 3
     assert est.value <= math.cos(math.pi / 20) + 1e-12  # Rayleigh quotient is still a bound
-    with pytest.raises(ValidationError):
-        dirichlet_lower_bound(ball, max_iterations=0)
 
 
-def test_cogrowth_iteration_cap_flags_residual():
-    from cospectral.stallings import cogrowth_rate as cg
-    automaton = build_automaton("ab,ba", 2)
-    result = cg(automaton, max_iterations=1)
+def test_cogrowth_iteration_cap_flags_residual(monkeypatch):
+    monkeypatch.setattr(stallings, "_MAX_ITERATIONS", 1)
+    result = cogrowth_rate(build_automaton("ab,ba", 2))
     assert not result.converged
+    assert result.iterations == 1
     assert result.residual > 1e-10
-    with pytest.raises(ValidationError):
-        cg(automaton, max_iterations=0)
 
 
-@pytest.mark.parametrize("width", [2, 4, 6, 8, 10])
+def _average_inputs(rng, n, width):
+    table = rng.integers(0, n + 1, (n, width))  # index n is the sentinel column
+    table[0, 0] = n
+    x = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 9, n)
+    return table, x, np.append(x, 0.0)
+
+
+@pytest.mark.parametrize("width", [2, 4, 6])
 def test_slot_major_average_keeps_the_row_major_bits(width):
     rng = np.random.default_rng(width)
     for n in (1, 7, 300):
-        table = rng.integers(0, n + 1, (n, width))  # index n is the sentinel column
-        table[0, 0] = n
-        x = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 9, n)
-        padded = np.append(x, 0.0)
+        table, x, padded = _average_inputs(rng, n, width)
         expected = padded[table].sum(axis=1) / width
+        assert np.array_equal(spectral._neighbor_average(table)(x), expected)
+
+
+@pytest.mark.parametrize("width", range(1, 17))
+def test_average_adds_the_slots_in_order(width):
+    rng = np.random.default_rng(100 + width)
+    for n in (2, 7, 300):
+        table, x, padded = _average_inputs(rng, n, width)
+        expected = functools.reduce(np.add, padded[table].T) / width
         assert np.array_equal(spectral._neighbor_average(table)(x), expected)

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -251,13 +253,15 @@ def test_canonical_equality_is_labeled_isomorphism():
     assert hash(a1) == hash(a2)
 
 
-def _row_major_nonbacktracking(table, d, x):
-    """B on a row-major edge vector x[u, s], summed per row as numpy does."""
+def _reference_nonbacktracking(table, d, x):
+    """B on a row-major edge vector x[u, s]: each slot total added in slot
+    order, as numpy also adds a row of fewer than 8 slots."""
     width = 2 * d
     reverse = (np.arange(width) + d) % width
     padded = np.zeros((len(table) + 1, width), dtype=x.dtype)
     padded[:-1] = x
-    return padded.sum(axis=1)[table] - padded[table, reverse]
+    total = padded.sum(axis=1) if width < 8 else functools.reduce(np.add, padded.T)
+    return total[table] - padded[table, reverse]
 
 
 def _automaton_table(automaton):
@@ -272,11 +276,12 @@ def _edge_vectors(rng, shape):
     return floats, ints, wide
 
 
-def test_slot_major_nonbacktracking_keeps_the_row_major_bits():
+def test_slot_major_nonbacktracking_adds_the_slots_in_order():
+    # below 8 slots that is the row-major sum; integer totals match at any width
     rng = np.random.default_rng(11)
     tables = []
-    for seed in range(12):
-        d = 2 + seed % 3  # widths 4, 6 and 8
+    for seed in range(21):
+        d = 2 + seed % 7  # widths 4 to 16
         tables.append((_automaton_table(build_automaton(random_subgroup_words(seed, d=d), d)), d))
     for oracle in (trivial_subgroup_oracle(2),
                    product_oracle(StallingsOracle(build_automaton("ab,bA", 2)),
@@ -284,9 +289,10 @@ def test_slot_major_nonbacktracking_keeps_the_row_major_bits():
                    wreath_percolation_oracle(sample_bernoulli_percolation(0.5, 20, 3))):
         ball = generate_ball(oracle, 3)
         tables.append((np.minimum(ball.nbr, ball.n_vertices), oracle.d))
+    assert {2 * d for _, d in tables} == set(range(4, 17, 2))
     for table, d in tables:
         for x in _edge_vectors(rng, table.shape):
             step = _nonbacktracking(table, d, x.dtype)
             got = step(np.ascontiguousarray(x.T))
             assert got.shape == table.T.shape
-            assert np.array_equal(got, _row_major_nonbacktracking(table, d, x).T)
+            assert np.array_equal(got, _reference_nonbacktracking(table, d, x).T)
