@@ -10,6 +10,12 @@ writes, with its SHA-256:
 
     report <file> <sha256>
 
+Then each ``cospectral`` command in ``CLI_COMMANDS`` runs in-process,
+giving the SHA-256 of what it printed followed by the bytes of the DOT file
+it wrote, if any:
+
+    cli <command> <sha256>
+
 Then one round of each perfbench workload runs at seeds 0 and 1, giving
 the SHA-256 of the round's digest and whether its operations and checks
 passed:
@@ -21,10 +27,12 @@ is only imported.  Every file is written under one fixed directory in the
 system's temporary directory, removed at the end: the ``main_theorem``
 workload's reports record their own paths, so the lines of two checkouts
 compare only if both write to the same place.  Run the script in both and
-``diff`` its output.  Exit status 1 if any round failed.
+``diff`` its output.  Exit status 1 if any command or round failed.
 """
 
+import contextlib
 import hashlib
+import io
 import itertools
 import os
 import shutil
@@ -36,6 +44,22 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 OUT = Path(tempfile.gettempdir()) / "cospectral-output-digests"
 SEEDS = (0, 1)
+# name -> argv; "{dot}" is a DOT file the command writes, "{rot}" and
+# "{swap}" the graphing files that ``cli_lines`` writes first
+CLI_COMMANDS = {
+    "ball-dot": ["ball", "--oracle", "stallings:gens=aab|bAb", "--radius", "4", "--dot", "{dot}"],
+    "intersect-dot": ["intersect", "--gens1", "aab|bAb", "--gens2", "aa|b|abA", "--dot", "{dot}"],
+    "cogrowth": ["cogrowth", "--gens", "aabAA|BA|bbaaab"],
+    "spectral-dirichlet": ["spectral", "--oracle", "stallings:gens=aab|bAb", "--radius", "8"],
+    "spectral-dirichlet-perm": ["spectral", "--oracle", "perm:n=50", "--seed", "0", "--radius", "12"],
+    "spectral-return": ["spectral", "--oracle", "stallings:gens=aab|bAb", "--method", "return",
+                        "--steps", "6"],
+    "sample-percolation": ["sample", "--family", "percolation", "--window", "40", "--seed", "2"],
+    "sample-permutation": ["sample", "--family", "permutation", "--n", "12", "--seed", "3"],
+    "graphing-embedded": ["graphing", "embedded", "--file", "{rot}", "--subset", "0..6"],
+    "graphing-testfn": ["graphing", "testfn", "--oracle", "zkernel:weights=1", "--radius", "8",
+                        "--x2", "{swap}"],
+}
 
 sys.dont_write_bytecode = True  # leave no cache files in perfbench/
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
@@ -59,6 +83,28 @@ def report_lines():
         yield f"report {path.name} {sha256(path.read_bytes())}", True
 
 
+def cli_lines():
+    from cospectral.cli import main as cli
+    from cospectral.graphing import Graphing, graphing_to_text
+
+    outdir = OUT / "cli"
+    outdir.mkdir()
+    files = {"dot": outdir / "window.dot", "rot": outdir / "rot.txt", "swap": outdir / "swap.txt"}
+    rotation = {i: (i + 1) % 20 for i in range(20)}
+    files["rot"].write_text(graphing_to_text(Graphing.from_pairs([1.0] * 20, [("rot", rotation)])))
+    swap = {0: 1, 1: 0}
+    files["swap"].write_text(graphing_to_text(Graphing([1.0] * 2, [("swap", swap), ("swap~", swap)])))
+    for name, argv in CLI_COMMANDS.items():
+        files["dot"].unlink(missing_ok=True)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli([arg.format(**files) for arg in argv])
+        data = out.getvalue().encode()
+        if files["dot"].exists():
+            data += files["dot"].read_bytes()
+        yield f"cli {name} {sha256(data)}", code == 0
+
+
 def round_lines():
     tracer = bench_trace.NullTracer()
     for name, workload in bench_workloads.WORKLOADS.items():
@@ -79,7 +125,7 @@ def main() -> int:
     OUT.mkdir(parents=True)
     failed = False
     try:
-        for line, ok in itertools.chain(report_lines(), round_lines()):
+        for line, ok in itertools.chain(report_lines(), cli_lines(), round_lines()):
             print(line, flush=True)
             failed |= not ok
     finally:

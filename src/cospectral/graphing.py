@@ -357,7 +357,7 @@ def embedded_spectral_radius(g: Graphing, subset: Iterable[int]) -> float:
     if len(interior) == 0:
         return 0.0
     matvec = _restricted_average(g.table, interior, g.n_points)
-    value, _, _, _ = _top_eigenpair(matvec, np.ones(len(interior)))
+    value, _, _, _ = _top_eigenpair(matvec, len(interior))
     return min(value, 1.0)
 
 
@@ -431,6 +431,15 @@ def product_test_function(
     <(I-M)f, f>, the bound (1 - lambda2' + |S| eps1) |f|^2 with eps1 the
     exact Folner defect of F, and the norm share of f on each orbit
     component of the product.
+
+    Everything is measured on this lazy product graphing, where a skipped
+    rim target leaves a loop.  When F reaches the ball's last layer those
+    loops can lift 1 - <(I-M)f, f>/|f|^2 above the Dirichlet value of the
+    factor (0.84400 against 0.84307 for F the whole radius-40 ball of
+    ``zkernel:weights=1|0``, x2 the inner edges of the radius-8 ball of
+    ``aab|bAb`` and f2 their Dirichlet vector).  So the report checks the
+    energy inequality; it bounds the co-spectral radius only when F lies in
+    the ball's interior.
     """
     d = x1_ball.oracle.d
     width = 2 * d

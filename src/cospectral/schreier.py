@@ -68,11 +68,18 @@ class CosetCoder(NamedTuple):
     only number the cosets during the BFS; ids come from ``act``.  A
     product's rows are its factors' rows side by side, so product codes
     never overflow.
+
+    ``hanging(rows)``, where a family has it, is the (m,) boolean mask of
+    the codes lying in a hanging tree: off the subgroup's core, where no
+    closed non-backtracking path goes (Stallings 1983), so a BFS for path
+    counts may skip them.  Stallings codes hang when their tail is nonempty
+    and a product's when either factor's does; the other families have none.
     """
 
     root: tuple[int, ...]
     sizes: tuple[int, ...]
     step: Callable[[np.ndarray], np.ndarray]
+    hanging: Callable[[np.ndarray], np.ndarray] | None = None
 
 
 class SubgroupOracle:
@@ -186,7 +193,10 @@ class StallingsOracle(SubgroupOracle):
         tail = 0
         for slot in root[4:]:
             tail = tail * width + slot + 1
-        return CosetCoder((tail * n + int.from_bytes(root[:4], "little"),), (size,), step)
+        return CosetCoder(
+            (tail * n + int.from_bytes(root[:4], "little"),), (size,), step,
+            lambda rows: rows[:, 0] >= n,
+        )
 
 
 def trivial_subgroup_oracle(d: int) -> StallingsOracle:
@@ -228,11 +238,18 @@ class ProductOracle(SubgroupOracle):
         if c1 is None or c2 is None:
             return None
         k1 = len(c1.sizes)
+        h1, h2 = c1.hanging, c2.hanging
 
         def step(rows: np.ndarray) -> np.ndarray:
             return np.concatenate([c1.step(rows[:, :k1]), c2.step(rows[:, k1:])], axis=2)
 
-        return CosetCoder(c1.root + c2.root, c1.sizes + c2.sizes, step)
+        def hanging(rows: np.ndarray) -> np.ndarray:
+            return (h1 is not None and h1(rows[:, :k1])) | (h2 is not None and h2(rows[:, k1:]))
+
+        return CosetCoder(
+            c1.root + c2.root, c1.sizes + c2.sizes, step,
+            None if h1 is None and h2 is None else hanging,
+        )
 
 
 def product_oracle(o1: SubgroupOracle, o2: SubgroupOracle) -> ProductOracle:
@@ -300,9 +317,10 @@ class SchreierBall:
         in ``nbr.ravel()`` (meaningless for the root)."""
         flat = self.nbr.ravel()
         dtype = np.int32 if len(flat) < 2**31 else np.int64
-        first = np.full(len(self.dist_full), len(flat), dtype=dtype)
+        # one entry past the stored vertices: a pruned ball's hanging slots
+        first = np.full(len(self.dist_full) + 1, len(flat), dtype=dtype)
         np.minimum.at(first, flat, np.arange(len(flat), dtype=dtype))
-        return first
+        return first[:-1]
 
     @cached_property
     def _all_ids(self) -> list:
@@ -402,6 +420,8 @@ def generate_ball(
     oracle: SubgroupOracle,
     radius: int,
     vertex_cap: int = DEFAULT_VERTEX_CAP,
+    *,
+    prune_hanging: bool = False,
 ) -> SchreierBall:
     """BFS the radius-R ball around the root coset, exactly and deterministically.
 
@@ -409,6 +429,13 @@ def generate_ball(
     expanded.  Raises BallCapExceeded if the ball plus its rim would exceed
     ``vertex_cap`` vertices; its ``attained_radius`` is the largest radius
     whose ball and rim fit.
+
+    With ``prune_hanging``, and a coder that has a ``hanging`` mask, the
+    BFS never numbers a hanging target: its slot reads ``n_vertices +
+    n_outer``, one past every stored vertex, so the window is the core
+    part of the ball, for path counts only.  A core vertex keeps its
+    distance, since a path into a hanging tree leaves it by backtracking.
+    Raises ValidationError if the root hangs.
 
     The BFS runs one layer at a time over the code rows of the oracle's
     ``coder``, each packed into as few int64 columns as the column sizes
@@ -425,6 +452,9 @@ def generate_ball(
     if radius < 0:
         raise ValidationError(f"radius must be >= 0, got {radius}")
     coder = oracle.coder(oracle.root, radius) or _interning_coder(oracle, vertex_cap)
+    hanging = coder.hanging if prune_hanging else None
+    if hanging is not None and hanging(np.array([coder.root], dtype=np.int64))[0]:
+        raise ValidationError("the root coset hangs off the core: no closed path to prune for")
     width = 2 * oracle.d
     pack = _packer(coder.sizes)
     # one-column codes (trees, Stallings windows) come in long sorted runs,
@@ -437,6 +467,9 @@ def generate_ball(
     low, start = 0, 1  # layers k-1 and k hold the indices [low, start)
     for k in range(radius + 1):
         targets = coder.step(layer).reshape(-1, len(coder.sizes))
+        if hanging is not None:
+            live = np.flatnonzero(~hanging(targets))
+            targets = targets[live]
         unique, first, inverse = _first_seen(np.concatenate([known, pack(targets)]), stable)
         fresh = np.flatnonzero(first >= len(known))
         fresh = fresh[np.argsort(first[fresh])]  # first-occurrence order
@@ -448,7 +481,11 @@ def generate_ball(
             )
         index = low + first  # a known key's index; fresh ones overwritten
         index[fresh] = np.arange(start, start + len(fresh))
-        rows.append(index[inverse[len(known) :]].astype(np.int32).reshape(-1, width))
+        block = index[inverse[len(known) :]]
+        if hanging is not None:  # -1 marks a hanging slot until the count is known
+            block, kept = np.full(len(layer) * width, -1, dtype=block.dtype), block
+            block[live] = kept
+        rows.append(block.astype(np.int32).reshape(-1, width))
         counts.append(len(fresh))
         if k == radius or not len(fresh):  # the rim is never expanded
             break
@@ -459,7 +496,10 @@ def generate_ball(
         )
 
     dist = np.repeat(np.arange(len(counts), dtype=np.int32), counts)
-    return SchreierBall(oracle, radius, dist, np.concatenate(rows))
+    nbr = np.concatenate(rows)
+    if hanging is not None:
+        nbr[nbr < 0] = len(dist)
+    return SchreierBall(oracle, radius, dist, nbr)
 
 
 def _first_seen(values: np.ndarray, stable: bool):
@@ -704,8 +744,13 @@ def _reduced_return_paths(
     """Slot table of the radius-floor(n/2) ball and an iterator over the
     edge vectors x_1..x_n of its non-backtracking closed-path counts.
 
-    ``table`` is ``ball.nbr`` with rim targets mapped to the sentinel
-    ``n_vertices``, row-major like ``nbr``.  The edge vectors are
+    The ball is pruned of hanging cosets (``generate_ball``'s
+    ``prune_hanging``): a closed non-backtracking path never enters a
+    hanging tree, which it could leave only by backtracking, so on
+    Stallings factors the window is the core part of the ball.  Raises
+    ValidationError if the root hangs.  ``table`` is ``ball.nbr`` with rim
+    and hanging targets mapped to the sentinel ``n_vertices``, row-major
+    like ``nbr``.  The edge vectors are
     slot-major, of shape ``(2d, n_vertices)`` as ``_nonbacktracking``
     takes them: x_k[s, u] counts the non-backtracking paths of k steps
     that leave ball vertex u along slot s and end at the root, so the
@@ -718,7 +763,7 @@ def _reduced_return_paths(
     """
     if n < 1:
         raise ValidationError(f"n must be >= 1, got {n}")
-    ball = generate_ball(oracle, n // 2, vertex_cap=vertex_cap)
+    ball = generate_ball(oracle, n // 2, vertex_cap=vertex_cap, prune_hanging=True)
     width = 2 * oracle.d
     dtype = np.int64 if width * (width - 1) ** (n - 1) < 2**63 else object
     table = np.minimum(ball.nbr, ball.n_vertices)
@@ -745,7 +790,9 @@ def count_reduced_returns(
     These are the non-backtracking closed path counts at the root, i.e. the
     number of subgroup elements of each reduced length for free families:
     the k-th count sums the root's edges ``x_k[:, 0]`` from
-    ``_reduced_return_paths``.
+    ``_reduced_return_paths``, on its window pruned of hanging cosets, so
+    ``vertex_cap`` bounds the pruned window.  Raises ValidationError if the
+    root hangs (a Stallings oracle rerooted off its core).
     """
     _, vectors = _reduced_return_paths(oracle, n, vertex_cap)
     return [int(x[:, 0].sum()) for x in vectors]

@@ -6,7 +6,7 @@ functions on the coset space.  Two certified lower bounds are provided:
 
 * the top Rayleigh quotient of M over functions supported on the interior
   of a finite ball (Dirichlet restriction), computed by restarted Lanczos
-  iteration with full reorthogonalisation, and
+  iteration with full reorthogonalisation from the constant vector, and
 * return probabilities, p_{2n}(root, root)^(1/2n) <= rho by self-adjointness,
   from 2n applications of the same ball-table matvec to the root indicator.
 
@@ -14,8 +14,9 @@ Both apply one matvec, ``_neighbor_average``, hundreds of times, so it
 reads its neighbor table slot-major: a ``(2d, n)`` copy made once per
 operator, gathered with one ``take`` and summed over the leading axis, the
 slots added in order, at every width.  The graphing Markov operator and
-the embedded spectral radius share it.  The solver's tolerance and matvec
-cap are module constants.
+the embedded spectral radius share it, and the Dirichlet bound and the
+embedded spectral radius share the solver and its start vector.  The
+solver's tolerance and matvec cap are module constants.
 
 For f.g. subgroups of free groups the cogrowth base alpha converts to the
 exact co-spectral radius through the classical cogrowth formula.
@@ -89,10 +90,13 @@ _MAX_MATVECS = 200_000
 
 
 def _top_eigenpair(
-    matvec: Callable[[np.ndarray], np.ndarray], start: np.ndarray
+    matvec: Callable[[np.ndarray], np.ndarray], size: int
 ) -> tuple[float, np.ndarray, int, float]:
-    """Top eigenpair of a symmetric nonnegative operator by restarted Lanczos.
+    """Top eigenpair of a symmetric nonnegative operator on R^size by
+    restarted Lanczos.
 
+    The first cycle starts from the constant vector, which no nonnegative
+    top eigenvector is orthogonal to, whatever the support's components.
     Each cycle runs Lanczos with full reorthogonalisation from the current
     vector and restarts from the top Ritz vector, taken entrywise in
     absolute value: for a nonnegative operator that never lowers the
@@ -103,6 +107,7 @@ def _top_eigenpair(
     ``matvecs`` counts operator applications and never exceeds
     ``_MAX_MATVECS``.
     """
+    start = np.ones(size)
     v = start / np.linalg.norm(start)
     av = matvec(v)
     matvecs = 1
@@ -190,9 +195,11 @@ def dirichlet_vector(
     Rayleigh quotient is the estimate, and its support rows.
 
     The Rayleigh quotient is a certified lower bound whether or not the
-    solve converged.  The solve starts from the root indicator, so on the
-    tree its Krylov space is the radial functions and it ends after about
-    radius steps.
+    solve converged.  The solve starts from the constant vector on the
+    interior rows.  On a covered finite orbit (every vertex interior) that
+    vector is the top eigenvector, so one matvec ends the solve with value
+    1.  On a tree ball it is radial, so the Krylov space is the radial
+    functions and the solve ends after radius + 1 matvecs.
     """
     r = ball.radius if radius is None else radius
     if r < 1:
@@ -200,10 +207,8 @@ def dirichlet_vector(
     if r > ball.radius:
         raise ValidationError(f"requested radius {r} exceeds ball radius {ball.radius}")
     rows = _interior_rows(ball, r)
-    start = np.zeros(len(rows))
-    start[0] = 1.0  # row 0 is the root: its neighbors lie within radius 1 <= r
     value, v, iterations, residual = _top_eigenpair(
-        _restricted_average(ball.nbr, rows, ball.n_vertices + ball.n_outer), start
+        _restricted_average(ball.nbr, rows, ball.n_vertices + ball.n_outer), len(rows)
     )
     flags = () if residual <= _TOL else ("not_converged",)
     estimate = SpectralEstimate(min(value, 1.0), "dirichlet", r, iterations, residual, False, flags)

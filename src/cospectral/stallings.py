@@ -96,6 +96,8 @@ class StallingsAutomaton:
         self._check_folded_shape(table, base)
         self.table = self._canonicalize(d, table, base)
         self.base = 0
+        # letter -> the target of every state along it, for ``trace``
+        self._targets = {letter_of_slot(s, d): col for s, col in enumerate(zip(*self.table))}
 
     @staticmethod
     def _check_folded_shape(table, base):
@@ -144,17 +146,21 @@ class StallingsAutomaton:
         return self.table[state][slot_of_letter(letter, self.d)]
 
     def trace(self, word: Word | str) -> int | None:
-        """Follow a word from the base; None once a transition is missing."""
+        """Follow a word from the base; None once a transition is missing.
+
+        A letter past the rank raises ValidationError when the trace reaches
+        it."""
         if isinstance(word, str):
             word = parse_word(word)
+        targets = self._targets
         state = self.base
-        for letter in word.letters:
-            if abs(letter) > self.d:
-                raise ValidationError(f"letter {letter} exceeds rank {self.d}")
-            nxt = self.step(state, letter)
-            if nxt is None:
-                return None
-            state = nxt
+        try:
+            for letter in word.letters:
+                state = targets[letter][state]
+                if state is None:
+                    return None
+        except KeyError:
+            raise ValidationError(f"letter {letter} exceeds rank {self.d}") from None
         return state
 
     def is_complete(self) -> bool:

@@ -658,3 +658,71 @@ def test_count_reduced_returns_window_is_exact():
     for oracle in oracles:
         for n in (1, 2, 3, 8):
             assert count_reduced_returns(oracle, n) == brute_counts(oracle, n)
+
+
+def _criterion_3_pruning_oracles():
+    """Criterion 3's 20 Stallings subgroups, alone and times two exponent-sum
+    kernels and a permutation stabiliser."""
+    from cospectral.experiments import random_subgroup_words
+
+    for seed in range(20):
+        h = StallingsOracle(build_automaton(random_subgroup_words(3000 + seed), 2))
+        yield h
+        yield product_oracle(kernel_to_Z_oracle(2, (1, 0)), h)
+        yield product_oracle(kernel_to_Z_oracle(2, (1, 1)), h)
+        yield product_oracle(h, PermutationStabilizerOracle(12, 2, seed))
+
+
+def _no_tail(coset) -> bool:
+    """Whether no Stallings coordinate of a coset id has a hanging tail."""
+    parts = coset if isinstance(coset, tuple) else (coset,)
+    return all(len(p) == 4 for p in parts if isinstance(p, bytes))
+
+
+def test_pruned_return_counts_match_the_unpruned_ball(monkeypatch):
+    from cospectral import schreier
+
+    full = schreier.generate_ball
+
+    def unpruned(oracle, radius, vertex_cap=schreier.DEFAULT_VERTEX_CAP, *, prune_hanging=False):
+        return full(oracle, radius, vertex_cap)
+
+    for oracle in _criterion_3_pruning_oracles():
+        for n in (7, 16):
+            pruned = count_reduced_returns(oracle, n)
+            with monkeypatch.context() as m:
+                m.setattr(schreier, "generate_ball", unpruned)
+                assert pruned == count_reduced_returns(oracle, n)
+
+
+def test_pruned_window_is_the_core_part_of_the_ball():
+    # a missing core vertex shows in the counts, an extra hanging one only here
+    oracles = list(_criterion_3_pruning_oracles())
+    oracles.append(wreath_percolation_oracle(sample_bernoulli_percolation(0.5, 20, 3)))
+    stored = [0, 0]
+    for oracle in oracles:
+        pruned = generate_ball(oracle, 5, prune_hanging=True)
+        ball = generate_ball(oracle, 5)
+        assert pruned.ids == [c for c in ball.ids if _no_tail(c)]
+        assert pruned.outer_ids == [c for c in ball.outer_ids if _no_tail(c)]
+        assert list(pruned.dist) == [d for c, d in zip(ball.ids, ball.dist) if _no_tail(c)]
+        stored[0] += pruned.n_vertices + pruned.n_outer
+        stored[1] += ball.n_vertices + ball.n_outer
+        # a hanging slot reads one past every stored vertex
+        sentinel = pruned.n_vertices + pruned.n_outer
+        for i, coset in enumerate(pruned.ids):
+            for s, letter in enumerate(oracle.letters):
+                t = int(pruned.nbr[i, s])
+                assert (t == sentinel) == (not _no_tail(oracle.act(letter, coset)))
+    assert stored[0] < stored[1]
+
+
+def test_pruning_a_hanging_root_raises():
+    tree = trivial_subgroup_oracle(2)
+    hanging = reroot(tree, tree.root + bytes([0]))
+    for oracle in (hanging, product_oracle(kernel_to_Z_oracle(2, (1, 0)), hanging)):
+        with pytest.raises(ValidationError):
+            generate_ball(oracle, 3, prune_hanging=True)
+        with pytest.raises(ValidationError):
+            count_reduced_returns(oracle, 4)
+        assert generate_ball(oracle, 3).n_vertices > 1  # unpruned, it is a ball

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -47,13 +48,27 @@ def test_tree_ball_value_and_dense_oracle():
 
 
 def test_tree_ball_krylov_space_is_radial():
-    # from the root indicator the Krylov space is the R radial functions on
-    # the interior B(R-1), so Lanczos stops after about R matvecs
+    # the constant start is radial, so the Krylov space is the R radial
+    # functions on the interior B(R-1), and Lanczos stops after R+1 matvecs
     for radius in range(3, 8):
         ball = generate_ball(trivial_subgroup_oracle(2), radius)
         est = dirichlet_lower_bound(ball)
         assert est.value == pytest.approx(dense_dirichlet(ball), abs=1e-9)
-        assert est.iterations <= radius + 2
+        assert est.iterations == radius + 1
+
+
+def test_covered_orbit_solves_in_one_matvec():
+    # every vertex of a finite orbit is interior once the ball covers it, and
+    # the constant start is then the top eigenvector
+    for n, d, seed in itertools.product((5, 12, 40), (1, 2, 3), range(3)):
+        ball = generate_ball(permutation_stabilizer_oracle(n, d, seed), n)
+        est, _, rows = dirichlet_vector(ball)
+        assert ball.n_outer == 0 and len(rows) == ball.n_vertices
+        assert est.iterations == 1 and est.value == pytest.approx(1.0, abs=1e-15)
+    # main_theorem's stabilisers (50 points, rank 2) read 1 exactly
+    for seed in range(20):
+        est = dirichlet_lower_bound(generate_ball(permutation_stabilizer_oracle(50, 2, seed), 40))
+        assert (est.value, est.iterations) == (1.0, 1)
 
 
 def test_dirichlet_vector_matches_dense_on_every_family():

@@ -40,6 +40,42 @@ def test_build_single_loop():
     assert a.step(0, 2) is None
 
 
+def _reference_trace(automaton, word):
+    """Trace letter by letter through ``step``, checking each letter's rank
+    when it is reached."""
+    state = automaton.base
+    for letter in word.letters:
+        if abs(letter) > automaton.d:
+            raise ValidationError(f"letter {letter} exceeds rank {automaton.d}")
+        state = automaton.step(state, letter)
+        if state is None:
+            return None
+    return state
+
+
+def test_trace_matches_letter_by_letter_steps():
+    rng = np.random.default_rng(17)
+    outcomes = {"state": 0, "fell_off": 0, "rank_error": 0}
+    for seed in range(30):
+        d = 1 + seed % 3
+        automaton = build_automaton(random_subgroup_words(seed, d=d), d)
+        alphabet = [x for x in range(-d - 1, d + 2) if x]  # one letter past the rank
+        for _ in range(60):
+            length = int(rng.integers(0, 10))
+            word = Word(tuple(int(x) for x in rng.choice(alphabet, length)))
+            try:
+                expected = _reference_trace(automaton, word)
+            except ValidationError:
+                with pytest.raises(ValidationError, match="exceeds rank"):
+                    automaton.trace(word)
+                outcomes["rank_error"] += 1
+                continue
+            assert automaton.trace(word) == expected
+            assert automaton.trace(str(word)) == expected
+            outcomes["fell_off" if expected is None else "state"] += 1
+    assert min(outcomes.values()) >= 50, outcomes
+
+
 def test_build_trivial():
     a = build_automaton([], 2)
     assert a.n_states == 1
