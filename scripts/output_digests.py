@@ -45,7 +45,8 @@ ROOT = Path(__file__).resolve().parent.parent
 OUT = Path(tempfile.gettempdir()) / "cospectral-output-digests"
 SEEDS = (0, 1)
 # name -> argv; "{dot}" is a DOT file the command writes, "{rot}" and
-# "{swap}" the graphing files that ``cli_lines`` writes first
+# "{swap}" the graphing files and "{capped}" and "{long}" the experiment
+# configs that ``cli_lines`` writes first
 CLI_COMMANDS = {
     "ball-dot": ["ball", "--oracle", "stallings:gens=aab|bAb", "--radius", "4", "--dot", "{dot}"],
     "intersect-dot": ["intersect", "--gens1", "aab|bAb", "--gens2", "aa|b|abA", "--dot", "{dot}"],
@@ -59,7 +60,14 @@ CLI_COMMANDS = {
     "graphing-embedded": ["graphing", "embedded", "--file", "{rot}", "--subset", "0..6"],
     "graphing-testfn": ["graphing", "testfn", "--oracle", "zkernel:weights=1", "--radius", "8",
                         "--x2", "{swap}"],
+    "experiment-main-theorem-capped": ["experiment", "main_theorem", "--config", "{capped}"],
+    "experiment-cogrowth-long": ["experiment", "cogrowth_sweep", "--config", "{long}"],
 }
+# seed 5's intersection window alone overflows the cap, beside five that fit
+CAPPED_CONFIG = ("experiment = main_theorem\nradius = 10\nseeds = 0..5\n"
+                 "oracle2 = perm:n=50\nvertex_cap = 990\n")
+# counts past 2**63 run in Python integers
+LONG_CONFIG = "experiment = cogrowth_sweep\nseeds = 0..5\nn_lengths = 44\n"
 
 sys.dont_write_bytecode = True  # leave no cache files in perfbench/
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
@@ -89,7 +97,10 @@ def cli_lines():
 
     outdir = OUT / "cli"
     outdir.mkdir()
-    files = {"dot": outdir / "window.dot", "rot": outdir / "rot.txt", "swap": outdir / "swap.txt"}
+    files = {"dot": outdir / "window.dot", "rot": outdir / "rot.txt", "swap": outdir / "swap.txt",
+             "capped": outdir / "capped.cfg", "long": outdir / "long.cfg"}
+    files["capped"].write_text(CAPPED_CONFIG)
+    files["long"].write_text(LONG_CONFIG)
     rotation = {i: (i + 1) % 20 for i in range(20)}
     files["rot"].write_text(graphing_to_text(Graphing.from_pairs([1.0] * 20, [("rot", rotation)])))
     swap = {0: 1, 1: 0}

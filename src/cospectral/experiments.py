@@ -33,10 +33,13 @@ from .schreier import (
     SubgroupOracle,
     StallingsOracle,
     _reduced_return_paths,
+    _return_counts,
+    _return_radius,
     count_reduced_returns,
     enumerate_double_cosets,
     folner_defect_ids,
     generate_ball,
+    generate_balls,
     product_oracle,
     reroot,
     trivial_subgroup_oracle,
@@ -88,6 +91,10 @@ class ExperimentConfig:
     gens2: str = ""
     out: str | None = None
 
+    def __post_init__(self):
+        if not self.seeds:
+            raise ValidationError("seeds must name at least one seed")
+
     def to_json(self) -> dict:
         record = asdict(self)
         record["seeds"] = list(self.seeds)
@@ -123,10 +130,7 @@ def parse_int_set(spec: str) -> list[int]:
 def _coerce(key: str, value: str):
     value = value.strip()
     if key == "seeds":
-        seeds = tuple(parse_int_set(value))
-        if not seeds:
-            raise ValidationError("seeds must name at least one seed")
-        return seeds
+        return tuple(parse_int_set(value))
     if key in _NUMBER_TYPES:
         return _number(_NUMBER_TYPES[key], value, key)
     return value
@@ -229,33 +233,37 @@ def exp_main_theorem(config: ExperimentConfig) -> dict:
     and compare co-spectral estimates at matched radius.
 
     The gap estimate(H2) - estimate(intersection) should stay small; the
-    trivial inequality guarantees it is never meaningfully negative.
+    trivial inequality guarantees it is never meaningfully negative.  Every
+    seed's H2 window, and every seed's intersection window, comes from one
+    shared BFS where the sampled family stacks (``generate_balls``); a seed
+    whose own window overflows ``vertex_cap`` gets an error row, its H2
+    window's error first.
     """
     h1 = parse_oracle_spec(config.oracle1, d=config.d)
+    h2s = [parse_oracle_spec(config.oracle2, seed=seed, d=config.d) for seed in config.seeds]
+    balls2 = generate_balls(h2s, config.radius, config.vertex_cap)
+    balls12 = generate_balls([product_oracle(h1, h2) for h2 in h2s], config.radius, config.vertex_cap)
     rows = []
     gaps = []
-    for seed in config.seeds:
-        try:
-            h2 = parse_oracle_spec(config.oracle2, seed=seed, d=config.d)
-            ball2 = generate_ball(h2, config.radius, vertex_cap=config.vertex_cap)
-            est2 = dirichlet_lower_bound(ball2)
-            prod = product_oracle(h1, h2)
-            ball12 = generate_ball(prod, config.radius, vertex_cap=config.vertex_cap)
-            est12 = dirichlet_lower_bound(ball12)
-            gap = est2.value - est12.value
-            gaps.append(gap)
-            rows.append({
-                "seed": seed,
-                "status": "ok",
-                "estimate_h2": est2.value,
-                "estimate_intersection": est12.value,
-                "gap": gap,
-                "h2_graph_covered": ball2.n_outer == 0,
-                "h2_ball_vertices": ball2.n_vertices,
-                "intersection_ball_vertices": ball12.n_vertices,
-            })
-        except ResourceCapError as exc:
-            rows.append({"seed": seed, "status": "error", "error": str(exc)})
+    for seed, ball2, ball12 in zip(config.seeds, balls2, balls12):
+        failed = next((b for b in (ball2, ball12) if isinstance(b, ResourceCapError)), None)
+        if failed is not None:
+            rows.append({"seed": seed, "status": "error", "error": str(failed)})
+            continue
+        est2 = dirichlet_lower_bound(ball2)
+        est12 = dirichlet_lower_bound(ball12)
+        gap = est2.value - est12.value
+        gaps.append(gap)
+        rows.append({
+            "seed": seed,
+            "status": "ok",
+            "estimate_h2": est2.value,
+            "estimate_intersection": est12.value,
+            "gap": gap,
+            "h2_graph_covered": ball2.n_outer == 0,
+            "h2_ball_vertices": ball2.n_vertices,
+            "intersection_ball_vertices": ball12.n_vertices,
+        })
     summary = {
         "n_seeds": len(config.seeds),
         "n_ok": len(gaps),
@@ -318,7 +326,8 @@ def exp_sup_conjugates(config: ExperimentConfig) -> dict:
         "config": config.to_json(),
         "rows": rows,
         "summary": {
-            "n_double_cosets": len(entries),
+            "n_entries": len(entries),
+            "n_truncated": sum(entry.truncated for entry in entries),
             "max_estimate": best[0] if best else None,
             "argmax_representative": best[1] if best else None,
             "estimate_h2": est2.value,
@@ -343,7 +352,8 @@ def _common_elements(sites_a, sites_b, max_len: int, window: int):
     the remaining length starts along it.
     """
     product = product_oracle(_wreath_oracle(sites_a, window), _wreath_oracle(sites_b, window))
-    table, vectors = _reduced_return_paths(product, max_len)
+    window_ab = generate_ball(product, _return_radius(max_len), prune_hanging=True)
+    table, vectors = _reduced_return_paths(window_ab, max_len)
     # first[s, u]: least k with a closed path of k steps leaving u along slot s
     first = np.full(table.T.shape, max_len + 1)
     hits = 0
@@ -436,9 +446,12 @@ def exp_wreath_counterexample(config: ExperimentConfig) -> dict:
 def exp_cogrowth_sweep(config: ExperimentConfig) -> dict:
     """Cogrowth of sampled subgroups against their intersection with a
     deterministic co-amenable subgroup, via exact non-backtracking closed
-    path counts at the product root."""
+    path counts at the product root.  The counts are those of
+    ``count_reduced_returns``, taken on the pruned windows that one shared
+    BFS grows for every seed's subgroup (``generate_balls``)."""
     o1 = parse_oracle_spec(config.oracle1, seed=config.seeds[0], d=config.d)
-    rows = []
+    n = config.n_lengths
+    subgroups = []
     for seed in config.seeds:
         if config.gens2 == "trivial":
             words = []
@@ -449,22 +462,23 @@ def exp_cogrowth_sweep(config: ExperimentConfig) -> dict:
                 seed, d=config.d,
                 max_generators=config.max_generators, max_word_len=config.max_word_len,
             )
-        automaton = build_automaton(words, config.d)
-        cg = cogrowth_rate(automaton)
-        o2 = StallingsOracle(automaton)
-        try:
-            counts = count_reduced_returns(
-                product_oracle(o1, o2), config.n_lengths, vertex_cap=config.vertex_cap
-            )
-        except ResourceCapError as exc:
+        subgroups.append((words, build_automaton(words, config.d)))
+    windows = generate_balls(
+        [product_oracle(o1, StallingsOracle(automaton)) for _, automaton in subgroups],
+        _return_radius(n), config.vertex_cap, prune_hanging=True,
+    )
+    rows = []
+    for seed, (words, automaton), window in zip(config.seeds, subgroups, windows):
+        if isinstance(window, ResourceCapError):
             rows.append({
                 "seed": seed,
                 "generators": ",".join(str(w) for w in words),
                 "status": "error",
-                "error": str(exc),
+                "error": str(window),
             })
             continue
-        n = config.n_lengths
+        cg = cogrowth_rate(automaton)
+        counts = _return_counts(window, n)
         alpha_root = counts[-1] ** (1.0 / n) if counts[-1] > 0 else 0.0
         alpha_ratio = (
             (counts[-1] / counts[-3]) ** 0.5 if n >= 3 and counts[-3] > 0 else None

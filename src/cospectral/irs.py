@@ -167,7 +167,7 @@ class WreathPercolationOracle(SubgroupOracle):
             out[at[:, None], lamp_slots, col[:, None]] = np.where(looped[col][:, None], u, pushed)
             return out
 
-        return CosetCoder((radius + 1,) + (0,) * len(sites), sizes, step)
+        return CosetCoder(((radius + 1,) + (0,) * len(sites),), sizes, step)
 
     def membership(self, element) -> bool:
         """An element (f, n) lies in H_A iff n = 0 and supp f is inside A."""
@@ -230,13 +230,29 @@ class PermutationStabilizerOracle(SubgroupOracle):
 
     def coder(self, root: int, radius: int) -> CosetCoder:
         """Codes are the points, stepped through one (n_points, 2d) table."""
-        table = np.stack(self.perms + self.inverse_perms, axis=1)
-        return CosetCoder((int(root),), (self.n_points,), lambda rows: table[rows[:, 0], :, None])
+        return _points_coder([self], [root])
+
+    @staticmethod
+    def stacked_coder(members, radius: int) -> CosetCoder:
+        return _points_coder(members, [m.root for m in members])
 
     def orbit_of_root(self) -> list[int]:
         # the orbit has at most n_points points, so radius n_points - 1
         # covers it and leaves no rim
         return sorted(generate_ball(self, self.n_points - 1, vertex_cap=self.n_points).ids)
+
+
+def _points_coder(oracles, roots) -> CosetCoder:
+    """Codes for the oracles' disjoint union: the points, each oracle's
+    offset past the ones before it, with one root row per (oracle, root)."""
+    offsets = np.cumsum([0] + [o.n_points for o in oracles]).tolist()
+    table = np.concatenate([
+        np.stack(o.perms + o.inverse_perms, axis=1) + offset for o, offset in zip(oracles, offsets)
+    ])
+    return CosetCoder(
+        tuple((offset + int(root),) for offset, root in zip(offsets, roots)),
+        (offsets[-1],), lambda rows: table[rows[:, 0], :, None],
+    )
 
 
 def permutation_stabilizer_oracle(n_points: int, d: int, seed: int) -> PermutationStabilizerOracle:
@@ -273,7 +289,7 @@ class ZKernelOracle(SubgroupOracle):
         if 2 * span + 1 > CODE_LIMIT:
             return None
         steps = np.array(self.weights + tuple(-w for w in self.weights), dtype=np.int64)
-        return CosetCoder((span,), (2 * span + 1,), lambda rows: (rows + steps)[:, :, None])
+        return CosetCoder(((span,),), (2 * span + 1,), lambda rows: (rows + steps)[:, :, None])
 
     def membership(self, word: Word) -> bool:
         total = 0

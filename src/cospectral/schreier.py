@@ -17,18 +17,26 @@ columns, so products never overflow.  Only user oracles without a coder
 and over-wide windows (wreath shifts that would leave [-W, W], or one
 Stallings or exponent-sum column past int64) are numbered by interning the
 ids ``act`` returns.
+
+``generate_balls`` gives many oracles their windows at once: permutation
+stabilizers, Stallings oracles, and their products with one shared first
+factor stack into one disjoint union, whose coder numbers the members'
+cosets apart and has one root row per member.  One layered BFS grows
+every window from its own root, and each member's window is cut out of
+the shared one, bit for bit the window ``generate_ball`` would give it, so
+that small windows do not each pay the per-layer numpy overhead.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice
+from itertools import accumulate, islice
 from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
-from .errors import BallCapExceeded, ValidationError
+from .errors import BallCapExceeded, ResourceCapError, ValidationError
 from .stallings import StallingsAutomaton, _nonbacktracking, build_automaton, inverse_slot, letter_of_slot, slot_of_letter
 from .words import WREATH_NAMES, Word, letter_char, letters_of_rank
 
@@ -43,6 +51,7 @@ __all__ = [
     "trivial_subgroup_oracle",
     "whole_group_oracle",
     "generate_ball",
+    "generate_balls",
     "interior_boundary",
     "product_oracle",
     "reroot",
@@ -59,15 +68,17 @@ CODE_LIMIT = 2**63  # coset codes must stay below this to fit int64
 
 
 class CosetCoder(NamedTuple):
-    """Integer codes for the cosets within distance radius + 1 of a root.
+    """Integer codes for the cosets within distance radius + 1 of the roots.
 
     A code is a row of k integers, column j in [0, sizes[j]), each size at
-    most ``CODE_LIMIT`` so that every column fits int64.  ``step(rows)``
-    maps an (m, k) int64 array of the codes of cosets within distance
-    radius to the (m, 2d, k) array of their targets in slot order.  Codes
-    only number the cosets during the BFS; ids come from ``act``.  A
-    product's rows are its factors' rows side by side, so product codes
-    never overflow.
+    most ``CODE_LIMIT`` so that every column fits int64.  ``roots`` holds
+    one code row per root: one for an oracle's own coder, one per member
+    for a stacked union's.  ``step(rows)`` maps an (m, k) int64 array of
+    the codes of cosets within distance radius to the (m, 2d, k) array of
+    their targets in slot order.  Codes only number the cosets during the
+    BFS; ids come from ``act``.  A product's rows are its factors' rows
+    side by side, so product codes never overflow, and its roots pair
+    every root of one factor with every root of the other.
 
     ``hanging(rows)``, where a family has it, is the (m,) boolean mask of
     the codes lying in a hanging tree: off the subgroup's core, where no
@@ -76,7 +87,7 @@ class CosetCoder(NamedTuple):
     and a product's when either factor's does; the other families have none.
     """
 
-    root: tuple[int, ...]
+    roots: tuple[tuple[int, ...], ...]
     sizes: tuple[int, ...]
     step: Callable[[np.ndarray], np.ndarray]
     hanging: Callable[[np.ndarray], np.ndarray] | None = None
@@ -124,6 +135,14 @@ class SubgroupOracle:
         None when the family has none or a column would not fit int64."""
         return None
 
+    @staticmethod
+    def stacked_coder(members, radius: int) -> CosetCoder | None:
+        """One coder for the disjoint union of ``members``, oracles of this
+        class and rank, numbering each member's cosets apart from the
+        others', with one root row per member's root; None when the family
+        does not stack or a column would not fit int64."""
+        return None
+
 
 class StallingsOracle(SubgroupOracle):
     """Coset action of a f.g. subgroup of F_d read off its core automaton.
@@ -165,38 +184,51 @@ class StallingsOracle(SubgroupOracle):
         return f"q{state}" + (f".{tail}" if tail else "")
 
     def coder(self, root: bytes, radius: int) -> CosetCoder | None:
-        d, n = self.d, self.automaton.n_states
-        width = 2 * d
-        longest = len(root) - 4 + radius + 1
-        size = (width * (width**longest - 1) // (width - 1) + 1) * n
-        if size > CODE_LIMIT:
-            return None
-        table = np.array(
-            [[-1 if t is None else t for t in row] for row in self.automaton.table],
-            dtype=np.int64,
-        )
-        grow = (np.arange(width) + 1) * n
-        inverse = (np.arange(width) + d) % width
+        return _stallings_coder([self.automaton], [root], radius)
 
-        def step(rows: np.ndarray) -> np.ndarray:
-            codes = rows[:, 0]
-            tails, states = np.divmod(codes, n)
-            out = ((codes - states) * width + states)[:, None] + grow  # tail + slot
-            core = np.flatnonzero(tails == 0)
-            traced = table[states[core]]
-            out[core] = np.where(traced >= 0, traced, out[core])
-            hanging = np.flatnonzero(tails)
-            popped, last = np.divmod(tails[hanging] - 1, width)
-            out[hanging, inverse[last]] = popped * n + states[hanging]
-            return out[:, :, None]
+    @staticmethod
+    def stacked_coder(members, radius: int) -> CosetCoder | None:
+        return _stallings_coder([m.automaton for m in members], [m.root for m in members], radius)
 
+
+def _stallings_coder(automata, roots, radius: int) -> CosetCoder | None:
+    """Codes for the automata's disjoint union, states numbered with
+    offsets in the given order, with one root row per (automaton, root)."""
+    d = automata[0].d
+    width = 2 * d
+    offsets = list(accumulate((a.n_states for a in automata), initial=0))
+    n = offsets[-1]
+    longest = max(len(root) for root in roots) - 4 + radius + 1
+    size = (width * (width**longest - 1) // (width - 1) + 1) * n
+    if size > CODE_LIMIT:
+        return None
+    table = np.array(
+        [[-1 if t is None else t + offset for t in row]
+         for a, offset in zip(automata, offsets) for row in a.table],
+        dtype=np.int64,
+    )
+    grow = (np.arange(width) + 1) * n
+    inverse = (np.arange(width) + d) % width
+
+    def step(rows: np.ndarray) -> np.ndarray:
+        codes = rows[:, 0]
+        tails, states = np.divmod(codes, n)
+        out = ((codes - states) * width + states)[:, None] + grow  # tail + slot
+        core = np.flatnonzero(tails == 0)
+        traced = table[states[core]]
+        out[core] = np.where(traced >= 0, traced, out[core])
+        hanging = np.flatnonzero(tails)
+        popped, last = np.divmod(tails[hanging] - 1, width)
+        out[hanging, inverse[last]] = popped * n + states[hanging]
+        return out[:, :, None]
+
+    codes = []
+    for root, offset in zip(roots, offsets):
         tail = 0
         for slot in root[4:]:
             tail = tail * width + slot + 1
-        return CosetCoder(
-            (tail * n + int.from_bytes(root[:4], "little"),), (size,), step,
-            lambda rows: rows[:, 0] >= n,
-        )
+        codes.append((tail * n + offset + int.from_bytes(root[:4], "little"),))
+    return CosetCoder(tuple(codes), (size,), step, lambda rows: rows[:, 0] >= n)
 
 
 def trivial_subgroup_oracle(d: int) -> StallingsOracle:
@@ -247,7 +279,7 @@ class ProductOracle(SubgroupOracle):
             return (h1 is not None and h1(rows[:, :k1])) | (h2 is not None and h2(rows[:, k1:]))
 
         return CosetCoder(
-            c1.root + c2.root, c1.sizes + c2.sizes, step,
+            tuple(r1 + r2 for r1 in c1.roots for r2 in c2.roots), c1.sizes + c2.sizes, step,
             None if h1 is None and h2 is None else hanging,
         )
 
@@ -302,6 +334,11 @@ class SchreierBall:
     vertices asked for (``id_of``: one path, ``dist`` calls), since the
     spectral and path-count code reads only the tables and a Folner set is
     a small share of the ball.
+
+    A window grown from several roots (a stacked union's, see
+    ``generate_balls``) holds the roots at indices 0..m-1 and also has
+    ``labels``, the root each stored vertex was reached from; it is only
+    split into the members' windows, and its ids are never read.
     """
 
     def __init__(self, oracle, radius, dist_full, nbr):
@@ -448,12 +485,22 @@ def generate_ball(
     (vertex, slot) order, and their rows are the target rows at those first
     occurrences.  Only the keys of two layers are kept, and the ball stores
     none: ids replay ``act`` when read.
+
+    A coder with several root rows (a stacked union's) starts the BFS from
+    all of them as layer 0, and every stored vertex is labelled with the
+    root it was reached from, its BFS parent's label.  Since a member's
+    vertices keep their relative order in every layer, cutting its
+    labelled vertices out gives exactly its own window (``_split``).  A
+    target whose label differs from its source's means that two roots
+    share a component, and raises ValidationError.  The cap counts every
+    stored vertex of the union.
     """
     if radius < 0:
         raise ValidationError(f"radius must be >= 0, got {radius}")
     coder = oracle.coder(oracle.root, radius) or _interning_coder(oracle, vertex_cap)
+    layer = np.array(coder.roots, dtype=np.int64)  # the code rows of layer k
     hanging = coder.hanging if prune_hanging else None
-    if hanging is not None and hanging(np.array([coder.root], dtype=np.int64))[0]:
+    if hanging is not None and hanging(layer).any():
         raise ValidationError("the root coset hangs off the core: no closed path to prune for")
     width = 2 * oracle.d
     pack = _packer(coder.sizes)
@@ -461,10 +508,11 @@ def generate_ball(
     # where a stable sort (timsort) is fastest; on packed keys a quicksort
     # is about twice as fast
     stable = len(coder.sizes) == 1
-    layer = np.array([coder.root], dtype=np.int64)  # the code rows of layer k
     known = pack(layer)  # the keys of layers k-1 and k
-    counts, rows = [1], []  # the vertex count of each layer; the nbr blocks
-    low, start = 0, 1  # layers k-1 and k hold the indices [low, start)
+    counts, rows = [len(layer)], []  # the vertex count of each layer; the nbr blocks
+    low, start = 0, len(layer)  # layers k-1 and k hold the indices [low, start)
+    # several roots: the label blocks of the layers so far
+    labels = [np.arange(len(layer))] if len(layer) > 1 else None
     for k in range(radius + 1):
         targets = coder.step(layer).reshape(-1, len(coder.sizes))
         if hanging is not None:
@@ -473,6 +521,15 @@ def generate_ball(
         unique, first, inverse = _first_seen(np.concatenate([known, pack(targets)]), stable)
         fresh = np.flatnonzero(first >= len(known))
         fresh = fresh[np.argsort(first[fresh])]  # first-occurrence order
+        if labels is not None:
+            source = np.repeat(labels[-1], width)
+            if hanging is not None:
+                source = source[live]
+            # the label of the vertex each target is (known, or first reached)
+            reached = np.concatenate(labels[-2:] + [source])[first[inverse[len(known) :]]]
+            if (reached != source).any():
+                raise ValidationError("two roots lie in one component: their windows overlap")
+            labels.append(source[first[fresh] - len(known)])
         if len(fresh) and start + len(fresh) > vertex_cap:
             raise BallCapExceeded(
                 f"vertex cap {vertex_cap} exceeded at distance {k + 1} "
@@ -499,7 +556,101 @@ def generate_ball(
     nbr = np.concatenate(rows)
     if hanging is not None:
         nbr[nbr < 0] = len(dist)
-    return SchreierBall(oracle, radius, dist, nbr)
+    ball = SchreierBall(oracle, radius, dist, nbr)
+    if labels is not None:
+        ball.labels = np.concatenate(labels)
+    return ball
+
+
+def generate_balls(
+    oracles: list[SubgroupOracle],
+    radius: int,
+    vertex_cap: int = DEFAULT_VERTEX_CAP,
+    *,
+    prune_hanging: bool = False,
+) -> list:
+    """``generate_ball(oracle, radius, vertex_cap, prune_hanging=...)`` for
+    every oracle, or the ResourceCapError it raises, grown in one BFS where
+    the oracles stack.
+
+    They stack when they are permutation stabilizers or Stallings oracles
+    of one class and rank, or products of one shared first factor with such
+    oracles: ``_union`` numbers their cosets apart, one ``generate_ball``
+    grows every member's window at once under ``vertex_cap``, and
+    ``_split`` cuts each member's window out, bit for bit its own.  If that
+    BFS overflows, each half of the oracles is tried again, so an oracle
+    fails exactly when its own window overflows, with its own message.
+    Other oracles get their windows one at a time.
+    """
+    # more roots than the cap cannot share one BFS
+    union = _union(oracles, radius) if 1 < len(oracles) <= vertex_cap else None
+    if union is None:
+        return [_ball_or_error(o, radius, vertex_cap, prune_hanging) for o in oracles]
+    try:
+        ball = generate_ball(union, radius, vertex_cap, prune_hanging=prune_hanging)
+    except BallCapExceeded:
+        half = len(oracles) // 2
+        return [
+            *generate_balls(oracles[:half], radius, vertex_cap, prune_hanging=prune_hanging),
+            *generate_balls(oracles[half:], radius, vertex_cap, prune_hanging=prune_hanging),
+        ]
+    return _split(ball, oracles)
+
+
+def _ball_or_error(oracle, radius, vertex_cap, prune_hanging):
+    try:
+        return generate_ball(oracle, radius, vertex_cap, prune_hanging=prune_hanging)
+    except ResourceCapError as exc:
+        return exc
+
+
+class _Union(SubgroupOracle):
+    """The disjoint union of stacking members, for the shared BFS only: its
+    coder is the members' ``stacked_coder``, and it has no ``act``."""
+
+    def __init__(self, members, coder: CosetCoder):
+        self.family, self.d = members[0].family, members[0].d
+        self.root = None
+        self._coder = coder
+
+    def coder(self, root, radius: int) -> CosetCoder:
+        return self._coder
+
+
+def _union(oracles, radius: int) -> SubgroupOracle | None:
+    """One oracle whose coder stacks the oracles' windows, with one root
+    row per oracle in order, or None when they do not stack."""
+    first = oracles[0]
+    if all(type(o) is ProductOracle and o.o1 is first.o1 for o in oracles):
+        inner = _union([o.o2 for o in oracles], radius)
+        # the product has a coder only if its first factor has one too
+        if inner is None or first.o1.coder(first.o1.root, radius) is None:
+            return None
+        return ProductOracle(first.o1, inner)
+    kind = type(first)
+    if any(type(o) is not kind or o.family != first.family for o in oracles):
+        return None
+    coder = kind.stacked_coder(oracles, radius)
+    return None if coder is None else _Union(oracles, coder)
+
+
+def _split(ball: SchreierBall, oracles) -> list[SchreierBall]:
+    """The members' windows in a window grown from one root per oracle:
+    member j's stored vertices are the ones labelled j, in the same order,
+    renumbered from 0, with the union's pruned-slot sentinel mapped to the
+    member's own."""
+    total = len(ball.dist_full)
+    order = np.argsort(ball.labels, kind="stable")
+    bounds = np.searchsorted(ball.labels[order], np.arange(len(oracles) + 1)).tolist()
+    rank = np.empty(total + 1, dtype=ball.nbr.dtype)  # union index -> member index
+    rank[order] = np.arange(total) - np.repeat(bounds[:-1], np.diff(bounds))
+    balls = []
+    for j, oracle in enumerate(oracles):
+        stored = order[bounds[j] : bounds[j + 1]]
+        rank[total] = len(stored)
+        inner = stored[: np.searchsorted(stored, ball.n_vertices)]
+        balls.append(SchreierBall(oracle, ball.radius, ball.dist_full[stored], rank[ball.nbr[inner]]))
+    return balls
 
 
 def _first_seen(values: np.ndarray, stable: bool):
@@ -568,7 +719,7 @@ def _interning_coder(oracle: SubgroupOracle, vertex_cap: int) -> CosetCoder:
         ids.extend(islice(index, len(ids), None))  # the new ids, in code order
         return np.array(out, dtype=np.int64).reshape(-1, len(letters), 1)
 
-    return CosetCoder((0,), (CODE_LIMIT,), step)
+    return CosetCoder(((0,),), (CODE_LIMIT,), step)
 
 
 @dataclass
@@ -736,19 +887,22 @@ def enumerate_double_cosets(
     return entries
 
 
-def _reduced_return_paths(
-    oracle: SubgroupOracle,
-    n: int,
-    vertex_cap: int = DEFAULT_VERTEX_CAP,
-):
-    """Slot table of the radius-floor(n/2) ball and an iterator over the
-    edge vectors x_1..x_n of its non-backtracking closed-path counts.
+def _return_radius(n: int) -> int:
+    """The radius of the window that holds every closed path of n steps."""
+    if n < 1:
+        raise ValidationError(f"n must be >= 1, got {n}")
+    return n // 2
 
-    The ball is pruned of hanging cosets (``generate_ball``'s
-    ``prune_hanging``): a closed non-backtracking path never enters a
-    hanging tree, which it could leave only by backtracking, so on
-    Stallings factors the window is the core part of the ball.  Raises
-    ValidationError if the root hangs.  ``table`` is ``ball.nbr`` with rim
+
+def _reduced_return_paths(ball: SchreierBall, n: int):
+    """Slot table of a window and an iterator over the edge vectors
+    x_1..x_n of its non-backtracking closed-path counts.
+
+    The window is the radius-``_return_radius(n)`` ball pruned of hanging
+    cosets (``generate_ball``'s ``prune_hanging``): a closed
+    non-backtracking path never enters a hanging tree, which it could leave
+    only by backtracking, so on Stallings factors the window is the core
+    part of the ball.  ``table`` is ``ball.nbr`` with rim
     and hanging targets mapped to the sentinel ``n_vertices``, row-major
     like ``nbr``.  The edge vectors are
     slot-major, of shape ``(2d, n_vertices)`` as ``_nonbacktracking``
@@ -761,15 +915,13 @@ def _reduced_return_paths(
     integers, so there is no overflow and the order of the sums cannot
     change a count.
     """
-    if n < 1:
-        raise ValidationError(f"n must be >= 1, got {n}")
-    ball = generate_ball(oracle, n // 2, vertex_cap=vertex_cap, prune_hanging=True)
-    width = 2 * oracle.d
+    d = ball.oracle.d
+    width = 2 * d
     dtype = np.int64 if width * (width - 1) ** (n - 1) < 2**63 else object
     table = np.minimum(ball.nbr, ball.n_vertices)
 
     def vectors():
-        step = _nonbacktracking(table, oracle.d, dtype)
+        step = _nonbacktracking(table, d, dtype)
         x = np.zeros(table.T.shape, dtype=dtype)
         x[table.T == 0] = 1
         yield x
@@ -794,7 +946,13 @@ def count_reduced_returns(
     ``vertex_cap`` bounds the pruned window.  Raises ValidationError if the
     root hangs (a Stallings oracle rerooted off its core).
     """
-    _, vectors = _reduced_return_paths(oracle, n, vertex_cap)
+    ball = generate_ball(oracle, _return_radius(n), vertex_cap, prune_hanging=True)
+    return _return_counts(ball, n)
+
+
+def _return_counts(ball: SchreierBall, n: int) -> list[int]:
+    """``count_reduced_returns`` on its pruned window."""
+    _, vectors = _reduced_return_paths(ball, n)
     return [int(x[:, 0].sum()) for x in vectors]
 
 

@@ -25,7 +25,7 @@ from cospectral.experiments import (
     report_to_json,
     run_experiment,
 )
-from cospectral.schreier import StallingsOracle, count_reduced_returns, generate_ball
+from cospectral.schreier import StallingsOracle, count_reduced_returns, generate_ball, product_oracle
 from cospectral.spectral import critical_exponent, dirichlet_lower_bound
 from cospectral.stallings import build_automaton, cogrowth_rate
 
@@ -142,7 +142,8 @@ def test_sup_conjugates_normal_kernel():
         component_cap=300,
     )
     report = exp_sup_conjugates(config)
-    assert report["summary"]["n_double_cosets"] == 13
+    assert report["summary"]["n_entries"] == 13
+    assert report["summary"]["n_truncated"] == 13
     values = [r["estimate"] for r in report["rows"] if r["status"] == "ok"]
     # all fibers of k1 - k2 are isomorphic lines: equal estimates
     assert max(values) == pytest.approx(min(values), abs=1e-9)
@@ -381,3 +382,34 @@ def test_run_experiments_script_is_byte_identical(tmp_path):
     assert outputs[0] == outputs[1]
     wreath = json.loads(outputs[0]["wreath_counterexample.json"])
     assert wreath["summary"]["max_len"] == 10
+
+
+def test_every_experiment_rejects_empty_seeds():
+    from cospectral.experiments import EXPERIMENTS
+
+    for name in EXPERIMENTS:
+        with pytest.raises(ValidationError):
+            ExperimentConfig(experiment=name, seeds=())
+
+
+def test_main_theorem_rows_are_each_seeds_own_under_a_cap():
+    # at R=10 the seeds' intersection windows store 983..991 vertices each,
+    # and their H2 orbits, at most 50 points each, share one BFS
+    base = dict(experiment="main_theorem", radius=10, oracle2="perm:n=50", vertex_cap=990)
+    report = exp_main_theorem(ExperimentConfig(seeds=tuple(range(6)), **base))
+    own = [exp_main_theorem(ExperimentConfig(seeds=(seed,), **base))["rows"][0] for seed in range(6)]
+    assert report["rows"] == own
+    assert [row["status"] for row in own] == ["ok"] * 5 + ["error"]
+    assert own[5]["error"].startswith("vertex cap 990 exceeded")
+
+
+def test_cogrowth_sweep_long_counts_are_each_seeds_own():
+    n = 44  # past 2**63 the counts run in Python integers
+    report = exp_cogrowth_sweep(ExperimentConfig(
+        experiment="cogrowth_sweep", seeds=tuple(range(6)), n_lengths=n,
+    ))
+    o1 = parse_oracle_spec("zkernel:weights=1|0")
+    for seed, row in zip(range(6), report["rows"]):
+        h2 = StallingsOracle(build_automaton(random_subgroup_words(seed), 2))
+        counts = count_reduced_returns(product_oracle(o1, h2), n)
+        assert row["counts"] == counts and all(type(c) is int for c in row["counts"])

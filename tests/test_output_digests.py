@@ -9,7 +9,7 @@ EXPERIMENTS = ("cogrowth_sweep", "main_theorem", "sup_conjugates", "wreath_count
 WORKLOADS = ("free_windows", "main_theorem", "combinatorics")
 COMMANDS = ("ball-dot", "intersect-dot", "cogrowth", "spectral-dirichlet", "spectral-dirichlet-perm",
             "spectral-return", "sample-percolation", "sample-permutation", "graphing-embedded",
-            "graphing-testfn")
+            "graphing-testfn", "experiment-main-theorem-capped", "experiment-cogrowth-long")
 
 
 def test_output_digests_every_line_passes():

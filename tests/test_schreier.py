@@ -18,6 +18,7 @@ from cospectral.irs import (
     wreath_percolation_oracle,
 )
 from cospectral.schreier import (
+    CosetCoder,
     ball_to_dot,
     reroot,
     count_reduced_returns,
@@ -32,7 +33,7 @@ from cospectral.schreier import (
     trivial_subgroup_oracle,
     whole_group_oracle,
 )
-from cospectral.spectral import dirichlet_vector
+from cospectral.spectral import dirichlet_lower_bound, dirichlet_vector
 from cospectral.stallings import build_automaton, inverse_slot
 from cospectral.schreier import StallingsOracle, SubgroupOracle
 from cospectral.words import Word, letters_of_rank, parse_word
@@ -726,3 +727,150 @@ def test_pruning_a_hanging_root_raises():
         with pytest.raises(ValidationError):
             count_reduced_returns(oracle, 4)
         assert generate_ball(oracle, 3).n_vertices > 1  # unpruned, it is a ball
+
+
+def _stacking_families():
+    """Stacking members: permutation samples and criterion 3's Stallings
+    subgroups, each alone and times two exponent-sum kernels and one
+    permutation stabiliser shared by every member."""
+    from cospectral.experiments import random_subgroup_words
+
+    perms = [PermutationStabilizerOracle(12, 2, seed) for seed in range(6)]
+    stallings = [
+        StallingsOracle(build_automaton(random_subgroup_words(3000 + seed), 2)) for seed in range(8)
+    ]
+    factors = [kernel_to_Z_oracle(2, (1, 0)), kernel_to_Z_oracle(2, (1, 1)),
+               PermutationStabilizerOracle(7, 2, 11)]
+    for members in (perms, stallings):
+        yield members
+        for factor in factors:
+            yield [product_oracle(factor, h) for h in members]
+
+
+def _same_window(window, ball) -> bool:
+    return (window.oracle is ball.oracle and window.nbr.dtype == ball.nbr.dtype
+            and np.array_equal(window.nbr, ball.nbr)
+            and np.array_equal(window.dist_full, ball.dist_full)
+            and window.ids == ball.ids and window.outer_ids == ball.outer_ids)
+
+
+def test_stacked_windows_are_the_members_own(monkeypatch):
+    from cospectral import schreier
+
+    grown = []
+    traced = schreier.generate_ball
+
+    def recording(oracle, *args, **kwargs):
+        grown.append(oracle)
+        return traced(oracle, *args, **kwargs)
+
+    for members in _stacking_families():
+        for radius in range(9):
+            for prune in (False, True):
+                grown.clear()
+                with monkeypatch.context() as m:
+                    m.setattr(schreier, "generate_ball", recording)
+                    windows = schreier.generate_balls(members, radius, prune_hanging=prune)
+                assert len(grown) == 1 and grown[0] not in members  # one shared BFS
+                for member, window in zip(members, windows):
+                    ball = generate_ball(member, radius, prune_hanging=prune)
+                    assert _same_window(window, ball)
+                    if prune:
+                        n = 2 * radius + 1
+                        assert schreier._return_counts(window, n) == count_reduced_returns(member, n)
+                    elif radius:
+                        value = dirichlet_lower_bound(window).value
+                        assert value.hex() == dirichlet_lower_bound(ball).value.hex()
+
+
+class _CycleFromTwoPoints(SubgroupOracle):
+    """A 6-cycle whose coder grows it from two opposite points at once."""
+
+    family = ("free", 1)
+    d = 1
+    root = 0
+
+    def act(self, letter, coset):
+        return (coset + letter) % 6
+
+    def coder(self, root, radius):
+        def step(rows):
+            return np.stack([(rows + 1) % 6, (rows - 1) % 6], axis=1)
+
+        return CosetCoder(((0,), (3,)), (6,), step)
+
+
+def test_two_roots_in_one_component_raise():
+    cycle = _CycleFromTwoPoints()
+    for oracle in (cycle, product_oracle(whole_group_oracle(1), cycle)):
+        for radius in (1, 2, 5):
+            with pytest.raises(ValidationError):
+                generate_ball(oracle, radius)
+    # at radius 0 the two windows do not meet: each is its own point's
+    ball = generate_ball(cycle, 0)
+    assert ball.labels.tolist() == [0, 1, 0, 0, 1, 1]
+    assert ball.nbr.tolist() == [[2, 3], [4, 5]]
+
+
+def test_generate_balls_caps_each_member_as_its_own_ball(monkeypatch):
+    from cospectral import schreier
+
+    zk = kernel_to_Z_oracle(2, (1, 0))
+    members = [product_oracle(zk, PermutationStabilizerOracle(50, 2, seed)) for seed in range(6)]
+    sizes = sorted(len(generate_ball(m, 10).dist_full) for m in members)
+    traced, held = schreier.generate_ball, []
+
+    def recording(oracle, *args, **kwargs):
+        ball = traced(oracle, *args, **kwargs)
+        held.append((len(ball.dist_full), hasattr(ball, "labels")))
+        return ball
+
+    shared = 0
+    for cap in (sizes[0] - 1, sizes[0], sizes[2], sizes[-1] - 1, sizes[-1], 2 * sizes[-1]):
+        held.clear()
+        with monkeypatch.context() as m:
+            m.setattr(schreier, "generate_ball", recording)
+            windows = schreier.generate_balls(members, 10, cap)
+        assert max(held, default=(0,))[0] <= cap  # no BFS holds more than the cap
+        shared += any(union for _, union in held)
+        for member, window in zip(members, windows):
+            try:
+                ball = generate_ball(member, 10, cap)
+            except BallCapExceeded as err:
+                assert isinstance(window, BallCapExceeded)
+                assert (str(window), window.attained_radius) == (str(err), err.attained_radius)
+            else:
+                assert _same_window(window, ball)
+    assert shared == 1  # only twice the largest window holds two in one BFS
+
+
+def test_oracles_that_do_not_stack_get_their_own_windows(monkeypatch):
+    from cospectral import schreier
+
+    zk = kernel_to_Z_oracle(2, (1, 0))
+    perm = PermutationStabilizerOracle(12, 2, 0)
+    tree1 = trivial_subgroup_oracle(1)
+    cases = [
+        [kernel_to_Z_oracle(2, (1, w)) for w in range(3)],  # no stacked coder
+        [wreath_percolation_oracle(sample_bernoulli_percolation(0.5, 20, s)) for s in range(3)],
+        [_UserOracle(), _UserOracle()],
+        [perm, StallingsOracle(build_automaton("ab", 2))],  # two families
+        [product_oracle(zk, perm), product_oracle(kernel_to_Z_oracle(2, (1, 0)), perm)],  # two first factors
+        [perm, PermutationStabilizerOracle(12, 3, 0)],  # two ranks
+        [tree1, tree1],  # the stacked codes pass CODE_LIMIT at radius 69
+    ]
+    traced, grown = schreier.generate_ball, []
+
+    def recording(oracle, *args, **kwargs):
+        grown.append(oracle)
+        return traced(oracle, *args, **kwargs)
+
+    for members in cases:
+        radius = 69 if members[0] is tree1 else 3
+        grown.clear()
+        with monkeypatch.context() as m:
+            m.setattr(schreier, "generate_ball", recording)
+            windows = schreier.generate_balls(members, radius)
+        assert grown == members
+        for member, window in zip(members, windows):
+            assert _same_window(window, generate_ball(member, radius))
