@@ -44,9 +44,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 OUT = Path(tempfile.gettempdir()) / "cospectral-output-digests"
 SEEDS = (0, 1)
-# name -> argv; "{dot}" is a DOT file the command writes, "{rot}" and
-# "{swap}" the graphing files and "{capped}" and "{long}" the experiment
-# configs that ``cli_lines`` writes first
+# name -> argv; "{dot}" is a DOT file the command writes, "{rot}", "{swap}"
+# and "{parts}" the graphing files and "{capped}" and "{long}" the
+# experiment configs that ``cli_lines`` writes first
 CLI_COMMANDS = {
     "ball-dot": ["ball", "--oracle", "stallings:gens=aab|bAb", "--radius", "4", "--dot", "{dot}"],
     "intersect-dot": ["intersect", "--gens1", "aab|bAb", "--gens2", "aa|b|abA", "--dot", "{dot}"],
@@ -57,6 +57,9 @@ CLI_COMMANDS = {
                         "--steps", "6"],
     "sample-percolation": ["sample", "--family", "percolation", "--window", "40", "--seed", "2"],
     "sample-permutation": ["sample", "--family", "permutation", "--n", "12", "--seed", "3"],
+    "graphing-mtp": ["graphing", "mtp", "--file", "{parts}", "--seed", "3"],
+    "graphing-rokhlin": ["graphing", "rokhlin", "--file", "{parts}", "--delta", "0.1",
+                         "--class-cap", "3"],
     "graphing-embedded": ["graphing", "embedded", "--file", "{rot}", "--subset", "0..6"],
     "graphing-testfn": ["graphing", "testfn", "--oracle", "zkernel:weights=1", "--radius", "8",
                         "--x2", "{swap}"],
@@ -66,6 +69,14 @@ CLI_COMMANDS = {
 # seed 5's intersection window alone overflows the cap, beside five that fit
 CAPPED_CONFIG = ("experiment = main_theorem\nradius = 10\nseeds = 0..5\n"
                  "oracle2 = perm:n=50\nvertex_cap = 990\n")
+# point 0 is undefined under every map and 1 -> 1 is explicit; under "m",
+# 2..5 is a chain, 6..9 an even cycle and 10..14 a light odd cycle longer
+# than the class cap of 3, which forms B; "n" is a 3-cycle on 2, 4, 6
+PARTS = ([1.0] * 10 + [0.01] * 5, [
+    ("m", {1: 1, 2: 3, 3: 4, 4: 5, 6: 7, 7: 8, 8: 9, 9: 6,
+           10: 11, 11: 12, 12: 13, 13: 14, 14: 10}),
+    ("n", {2: 4, 4: 6, 6: 2}),
+])
 # counts past 2**63 run in Python integers
 LONG_CONFIG = "experiment = cogrowth_sweep\nseeds = 0..5\nn_lengths = 44\n"
 
@@ -98,13 +109,15 @@ def cli_lines():
     outdir = OUT / "cli"
     outdir.mkdir()
     files = {"dot": outdir / "window.dot", "rot": outdir / "rot.txt", "swap": outdir / "swap.txt",
-             "capped": outdir / "capped.cfg", "long": outdir / "long.cfg"}
+             "parts": outdir / "parts.txt", "capped": outdir / "capped.cfg",
+             "long": outdir / "long.cfg"}
     files["capped"].write_text(CAPPED_CONFIG)
     files["long"].write_text(LONG_CONFIG)
     rotation = {i: (i + 1) % 20 for i in range(20)}
     files["rot"].write_text(graphing_to_text(Graphing.from_pairs([1.0] * 20, [("rot", rotation)])))
     swap = {0: 1, 1: 0}
     files["swap"].write_text(graphing_to_text(Graphing([1.0] * 2, [("swap", swap), ("swap~", swap)])))
+    files["parts"].write_text(graphing_to_text(Graphing.from_pairs(*PARTS)))
     for name, argv in CLI_COMMANDS.items():
         files["dot"].unlink(missing_ok=True)
         out = io.StringIO()

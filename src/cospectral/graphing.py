@@ -1,7 +1,8 @@
 """Finite measure-preserving graphings and their spectral machinery.
 
 A graphing is a finite weighted point set together with a symmetric family
-of measure-preserving partial bijections.  The Markov operator averages
+of measure-preserving partial bijections, kept as one index table of
+targets, -1 where a map is undefined.  The Markov operator averages
 uniformly over all map slots, with undefined slots counting as staying put
 (lazy convention); the Schreier-ball estimators never use this convention,
 it only matters here where maps may be partial.
@@ -15,6 +16,7 @@ spectral witness from a factor system to a product with a Folner set.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from functools import cached_property
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
 import numpy as np
@@ -44,7 +46,8 @@ __all__ = [
 
 
 class PartialMap:
-    """An injective partial map on point indices, with a label."""
+    """An injective partial map on point indices, with a label: what graphing
+    text is read into, and the form of the ``Graphing.maps`` view."""
 
     def __init__(self, label: str, mapping: Mapping[int, int]):
         self.label = str(label)
@@ -52,9 +55,6 @@ class PartialMap:
         values = list(self.mapping.values())
         if len(set(values)) != len(values):
             raise ValidationError(f"map {label!r} is not injective")
-
-    def inverse_mapping(self) -> dict[int, int]:
-        return {v: k for k, v in self.mapping.items()}
 
     def __repr__(self) -> str:
         return f"PartialMap({self.label!r}, {len(self.mapping)} pairs)"
@@ -68,50 +68,42 @@ class Graphing:
     build systems by copying weights along orbits.  Treated as immutable
     after construction.
 
-    ``table[x, k]`` is the image of point x under map k, or x itself where
-    map k is undefined (the lazy convention).  The Markov operator,
-    interiors and orbits all read this one table.
+    ``targets[x, k]`` is the image of point x under map ``labels[k]``, or
+    -1 where that map is undefined at x, which is not a fixed point.  The
+    Markov operator, interiors and orbits read ``table``, derived from it
+    with x itself in place of -1 (the lazy convention).  ``maps`` is a
+    read-only view of the maps as ``PartialMap`` dicts, built when first read.
     """
 
     def __init__(self, weights: Sequence[float], maps: Iterable[Union[PartialMap, tuple]]):
-        self.weights = np.asarray(weights, dtype=float)
-        if self.weights.ndim != 1 or len(self.weights) == 0:
-            raise ValidationError("weights must be a nonempty 1-d array")
-        if not (self.weights > 0).all():
-            raise ValidationError("all point weights must be positive")
-        self.maps: tuple[PartialMap, ...] = tuple(
-            m if isinstance(m, PartialMap) else PartialMap(*m) for m in maps
-        )
-        if not self.maps:
-            raise ValidationError("a graphing needs at least one map")
-        n = len(self.weights)
-        for m in self.maps:
-            _check_label(m.label)
-            for x, y in m.mapping.items():
-                if not (0 <= x < n and 0 <= y < n):
-                    raise ValidationError(f"map {m.label!r} leaves the point set")
-                if self.weights[x] != self.weights[y]:
-                    raise ValidationError(
-                        f"map {m.label!r} is not measure preserving at {x}->{y}"
-                    )
-        inv = _pair_inverses(self.maps)
-        if None in inv:
-            raise ValidationError(
-                "map family is not symmetric: no inverse present for "
-                f"{self.maps[inv.index(None)].label!r}"
-            )
-        self.inv_index = tuple(inv)
-        self.table = np.repeat(np.arange(n, dtype=np.int64)[:, None], len(self.maps), axis=1)
-        for k, m in enumerate(self.maps):
-            self.table[list(m.mapping), k] = list(m.mapping.values())
+        self._adopt(*_target_table(weights, maps))
 
     @classmethod
     def from_pairs(cls, weights, pairs: Iterable[tuple]) -> "Graphing":
         """Build from forward maps only: each map left without an inverse
-        among them gets one of its own, appended in order."""
-        maps = [m if isinstance(m, PartialMap) else PartialMap(*m) for m in pairs]
-        missing = [m for m, j in zip(maps, _pair_inverses(maps)) if j is None]
-        return cls(weights, maps + [PartialMap(m.label + "~", m.inverse_mapping()) for m in missing])
+        among them gets one of its own, labelled ``label~`` and appended in
+        order."""
+        weights, labels, targets = _target_table(weights, pairs)
+        missing = [k for k, j in enumerate(_pair_inverses(targets)) if j is None]
+        return cls.__new__(cls)._adopt(
+            weights, labels + [labels[k] + "~" for k in missing],
+            np.column_stack([targets, _inverses(targets[:, missing])]),
+        )
+
+    def _adopt(self, weights: np.ndarray, labels: Sequence[str], targets: np.ndarray) -> "Graphing":
+        """Take checked weights and target columns; pair the inverses."""
+        inv = _pair_inverses(targets)
+        if None in inv:
+            lone = labels[inv.index(None)]
+            raise ValidationError(f"map family is not symmetric: no inverse present for {lone!r}")
+        self.weights, self.labels, self.targets, self.inv_index = weights, tuple(labels), targets, tuple(inv)
+        self.table = np.where(targets >= 0, targets, np.arange(len(weights))[:, None])
+        return self
+
+    @cached_property
+    def maps(self) -> tuple[PartialMap, ...]:
+        return tuple(PartialMap(label, _arrows(column))
+                     for label, column in zip(self.labels, self.targets.T))
 
     @property
     def n_points(self) -> int:
@@ -119,7 +111,7 @@ class Graphing:
 
     @property
     def n_maps(self) -> int:
-        return len(self.maps)
+        return len(self.labels)
 
     def total_weight(self) -> float:
         return float(self.weights.sum())
@@ -132,22 +124,88 @@ class Graphing:
         return _neighbor_average(self.table)(f)
 
 
-def _pair_inverses(maps: Sequence[PartialMap]) -> list[int | None]:
-    """Pair each map, in order, with the first unpaired map of its inverse
-    mapping (an involution may pair with itself); None where none is left."""
-    inv: list[int | None] = [None] * len(maps)
-    by_mapping: dict[tuple, list[int]] = {}
-    for i, m in enumerate(maps):
-        by_mapping.setdefault(tuple(sorted(m.mapping.items())), []).append(i)
-    for i, m in enumerate(maps):
-        if inv[i] is not None:
-            continue
-        key = tuple(sorted(m.inverse_mapping().items()))
-        candidates = [j for j in by_mapping.get(key, ()) if inv[j] is None]
-        if candidates:
-            inv[i] = candidates[0]
-            inv[candidates[0]] = i
+def _target_table(weights, maps) -> tuple[np.ndarray, list[str], np.ndarray]:
+    """Checked weights, labels and target table of PartialMaps or
+    (label, mapping) pairs."""
+    weights = np.asarray(weights, dtype=float)
+    if weights.ndim != 1 or len(weights) == 0:
+        raise ValidationError("weights must be a nonempty 1-d array")
+    if not (weights > 0).all():
+        raise ValidationError("all point weights must be positive")
+    maps = [(m.label, m.mapping) if isinstance(m, PartialMap) else (str(m[0]), dict(m[1])) for m in maps]
+    if not maps:
+        raise ValidationError("a graphing needs at least one map")
+    targets = np.full((len(weights), len(maps)), -1, dtype=np.int64)
+    for k, (label, mapping) in enumerate(maps):
+        _check_label(label)
+        src, dst = list(mapping), list(mapping.values())
+        if any(t is bool or not issubclass(t, (int, np.integer)) for t in set(map(type, src + dst))):
+            raise ValidationError(f"map {label!r} has a point that is not an integer")
+        if src and (min(min(src), min(dst)) < 0 or max(max(src), max(dst)) >= len(weights)):
+            raise ValidationError(f"map {label!r} leaves the point set")
+        if len(set(dst)) < len(dst):
+            raise ValidationError(f"map {label!r} is not injective")
+        bad = np.flatnonzero(weights[src] != weights[dst])
+        if len(bad):
+            raise ValidationError(f"map {label!r} is not measure preserving at {src[bad[0]]}->{dst[bad[0]]}")
+        targets[src, k] = dst
+    return weights, [label for label, _ in maps], targets
+
+
+def _arrows(column: np.ndarray):
+    """(x, image) pairs of one target column, in ascending point order."""
+    src = np.flatnonzero(column >= 0)
+    return zip(src.tolist(), column[src].tolist())
+
+
+def _inverses(targets: np.ndarray) -> np.ndarray:
+    """The target table of each map's inverse, column by column."""
+    inverse = np.full_like(targets, -1)
+    src, k = np.nonzero(targets >= 0)
+    inverse[targets[src, k], k] = src
+    return inverse
+
+
+def _pair_inverses(targets: np.ndarray) -> list[int | None]:
+    """Pair each map, in order, with the first unpaired map whose column is
+    its inverse column (an involution may pair with itself); None where
+    none is left."""
+    inv: list[int | None] = [None] * targets.shape[1]
+    columns = [column.tobytes() for column in targets.T]
+    for i, key in enumerate(column.tobytes() for column in _inverses(targets).T):
+        if inv[i] is None:
+            j = next((j for j, c in enumerate(columns) if inv[j] is None and c == key), None)
+            if j is not None:
+                inv[i], inv[j] = j, i
     return inv
+
+
+def _least_points(table: np.ndarray) -> np.ndarray:
+    """Least point of each point's component in the graph joining every x
+    to each table[x, k]: hook every root onto the least root joined to its
+    tree, jump pointers until each tree is a star, and repeat until no edge
+    joins two trees."""
+    src, dst = np.repeat(np.arange(len(table)), table.shape[1]), table.ravel()
+    root = np.arange(len(table))
+    while True:
+        a, b = root[src], root[dst]
+        if np.array_equal(a, b):
+            return root
+        np.minimum.at(root, np.maximum(a, b), np.minimum(a, b))
+        up = root[root]
+        while not np.array_equal(up, root):
+            root, up = up, up[up]
+
+
+def _groups(keys: np.ndarray, points: np.ndarray) -> tuple[tuple[int, ...], ...]:
+    """The ascending points grouped by equal rows of ``keys``, in order of
+    least point."""
+    order = np.lexsort(keys.T)
+    ranked = keys[order]
+    starts = np.flatnonzero(np.r_[len(order) > 0, (ranked[1:] != ranked[:-1]).any(axis=1)]).tolist()
+    members = points[order].tolist()
+    groups = (tuple(members[a:b]) for a, b in zip(starts, starts[1:] + [len(members)]))
+    return tuple(sorted(groups, key=lambda c: c[0]))
 
 
 @dataclass
@@ -165,28 +223,12 @@ class OrbitDecomposition:
 
 
 def orbit_decomposition(g: Graphing) -> OrbitDecomposition:
-    """Connected components of the union of the map graphs (BFS based;
-    tests cross-check against an independent union-find)."""
-    n = g.n_points
-    comp = np.full(n, -1, dtype=np.int64)
-    components = []
-    for start in range(n):
-        if comp[start] != -1:
-            continue
-        cid = len(components)
-        comp[start] = cid
-        queue = [start]
-        members = [start]
-        while queue:
-            x = queue.pop()
-            for y in g.table[x].tolist():
-                if comp[y] == -1:
-                    comp[y] = cid
-                    queue.append(y)
-                    members.append(y)
-        components.append(tuple(sorted(members)))
-    weights = tuple(float(g.weights[list(c)].sum()) for c in components)
-    return OrbitDecomposition(tuple(components), weights, comp)
+    """Connected components of the union of the map graphs (tests
+    cross-check against an independent union-find)."""
+    least = _least_points(g.table)
+    component_of = np.unique(least, return_inverse=True)[1]
+    weights = tuple(np.bincount(component_of, weights=g.weights).tolist())
+    return OrbitDecomposition(_groups(least[:, None], np.arange(g.n_points)), weights, component_of)
 
 
 Kernel = Union[Callable[[int, int], float], Mapping[tuple[int, int], float]]
@@ -250,56 +292,33 @@ class RokhlinPartition:
         }
 
 
-def _single_map_classes(n: int, phi: dict[int, int], cap: int):
-    """Class labels for one map: chain parity, fixed points, cycle phases.
+def _single_map_classes(column: np.ndarray, cap: int) -> tuple[np.ndarray, np.ndarray]:
+    """Class codes for one map, or for maps on disjoint blocks of points as
+    one column: chain parity, fixed points, cycle phases.
 
-    Returns (labels, long) where labels[x] is a hashable class key and
-    ``long`` collects the points of odd cycles longer than the cap, the
-    candidates for the B part.
+    Returns (codes, long): equal codes mean one class, and ``long`` marks
+    the points of odd cycles longer than the cap, the candidates for the B
+    part.  Chain parities, and even cycles' phase parities from their least
+    points, are codes 0 and 1; fixed points share code 2, and phase p of an
+    odd cycle of length L has code 3 + n L + p.
     """
-    preimage = {v: u for u, v in phi.items()}
-    steps_left: dict[int, int] = {}
-    for end in range(n):
-        if end in phi or end in steps_left:
-            continue
-        # walk the preimage chain, assigning distance-to-exit
-        k = 0
-        steps_left[end] = 0
-        cur = end
-        while cur in preimage:
-            cur = preimage[cur]
-            k += 1
-            steps_left[cur] = k
-
-    labels: dict[int, object] = {}
-    long: set[int] = set()
-    for x, k in steps_left.items():
-        labels[x] = ("chain", k % 2)
-
-    seen = set(steps_left)
-    for start in range(n):
-        if start in seen:
-            continue
-        cycle = [start]
-        seen.add(start)
-        cur = phi[start]
-        while cur != start:
-            cycle.append(cur)
-            seen.add(cur)
-            cur = phi[cur]
-        length = len(cycle)
-        anchor = cycle.index(min(cycle))
-        if length == 1:
-            labels[start] = ("fix",)
-        elif length % 2 == 0:
-            for offset, x in enumerate(cycle):
-                labels[x] = ("chain", (offset - anchor) % 2)
-        else:
-            for offset, x in enumerate(cycle):
-                labels[x] = ("odd", length, (offset - anchor) % length)
-            if length > cap:
-                long.update(cycle)
-    return labels, long
+    n = len(column)
+    points = np.arange(n)
+    ahead = np.where(column >= 0, column, points)
+    least = _least_points(ahead[:, None])
+    on_chain = np.isin(least, least[column < 0])
+    anchor = points[(least == points) & ~on_chain]
+    # steps to the chain's end or the cycle's anchor, by pointer doubling
+    ahead[anchor] = anchor
+    steps = (ahead != points).astype(np.int64)
+    for _ in range((n - 1).bit_length()):
+        steps += steps[ahead]
+        ahead = ahead[ahead]
+    length = np.where(on_chain, 0, steps[column[least]] + 1)
+    odd = length % 2 == 1
+    phase = (length - steps) % np.maximum(length, 1)
+    codes = np.select([length == 1, odd], [2, 3 + n * length + phase], steps % 2)
+    return codes, odd & (length > 1) & (length > cap)
 
 
 def rokhlin_partition(g: Graphing, delta: float, class_cap: int = 64) -> RokhlinPartition:
@@ -314,23 +333,17 @@ def rokhlin_partition(g: Graphing, delta: float, class_cap: int = 64) -> Rokhlin
     """
     if delta <= 0:
         raise ValidationError(f"delta must be positive, got {delta}")
-    all_labels = []
-    long: set[int] = set()
-    for i, j in enumerate(g.inv_index):
-        if i <= j:
-            labels, points = _single_map_classes(g.n_points, g.maps[i].mapping, class_cap)
-            all_labels.append(labels)
-            long |= points
-    b_part = tuple(sorted(long))
-    if float(g.weights[list(b_part)].sum()) > delta:
-        b_part = ()
-    outside = sorted(set(range(g.n_points)).difference(b_part))
-    keys = zip(*([lab[x] for x in outside] for lab in all_labels))
-    groups: dict[tuple, list[int]] = {}
-    for x, key in zip(outside, keys):
-        groups.setdefault(key, []).append(x)
-    classes = sorted((tuple(v) for v in groups.values()), key=lambda c: c[0])
-    return RokhlinPartition(b_part, tuple(classes))
+    n = g.n_points
+    columns = g.targets[:, [i for i, j in enumerate(g.inv_index) if i <= j]]
+    # one column for all map pairs: map c acts on block c of the points
+    shifted = np.where(columns >= 0, columns + n * np.arange(columns.shape[1]), -1)
+    codes, long = _single_map_classes(shifted.T.ravel(), class_cap)
+    b_part = np.flatnonzero(long.reshape(-1, n).any(axis=0))
+    if float(g.weights[b_part].sum()) > delta:
+        b_part = b_part[:0]
+    outside = np.delete(np.arange(n), b_part)
+    classes = _groups(codes.reshape(-1, n).T[outside], outside)
+    return RokhlinPartition(tuple(b_part.tolist()), classes)
 
 
 def interior_of(g: Graphing, subset: Iterable[int]) -> np.ndarray:
@@ -379,16 +392,15 @@ class TestFunction:
 def validate_test_function(g: Graphing, tf: TestFunction) -> None:
     if tf.values.shape != (g.n_points,):
         raise ValidationError("test function has the wrong length")
+    if not np.isfinite(tf.values).all():
+        raise ValidationError("test function values must be finite")
     if (tf.values < 0).any():
         raise ValidationError("test functions must be nonnegative")
-    support = set(np.nonzero(tf.values)[0].tolist())
-    if not support:
+    support = np.flatnonzero(tf.values)
+    if not len(support):
         raise ValidationError("test functions must be nonzero")
-    interior = set(interior_of(g, tf.component).tolist())
-    if not support <= interior:
-        raise ValidationError(
-            "test function support must lie in the interior of its component"
-        )
+    if not np.isin(support, interior_of(g, tf.component)).all():
+        raise ValidationError("test function support must lie in the interior of its component")
 
 
 @dataclass
@@ -448,12 +460,10 @@ def product_test_function(
             f"factor system must carry {width} maps aligned with the ball letters, "
             f"got {x2.n_maps}"
         )
-    for slot in range(d):
-        partner = slot + d
-        if x2.maps[slot].inverse_mapping() != x2.maps[partner].mapping:
-            raise ValidationError(
-                "factor system maps must pair with their inverses in letter order"
-            )
+    if not np.array_equal(_inverses(x2.targets[:, :d]), x2.targets[:, d:]):
+        raise ValidationError(
+            "factor system maps must pair with their inverses in letter order"
+        )
     validate_test_function(x2, f2)
 
     f_idx = x1_ball.indices_of(folner_set)
@@ -463,21 +473,13 @@ def product_test_function(
 
     n1 = x1_ball.n_vertices
     n2 = x2.n_points
-    weights = np.tile(x2.weights, n1)
+    nbr = x1_ball.nbr.astype(np.int64)[:, None, :]
+    defined = (nbr < n1) & (x2.targets >= 0)
+    targets = np.where(defined, nbr * n2 + x2.targets, -1).reshape(n1 * n2, width)
+    product = Graphing.__new__(Graphing)._adopt(
+        np.tile(x2.weights, n1), [f"slot{s}" for s in range(width)], targets)
 
-    maps = []
-    for slot in range(width):
-        targets = x1_ball.nbr[:, slot].astype(np.int64)
-        sources = np.flatnonzero(targets < n1)
-        arrows = np.array(list(x2.maps[slot].mapping.items()), dtype=np.int64).reshape(-1, 2)
-        src = (sources[:, None] * n2 + arrows[:, 0]).ravel().tolist()
-        dst = (targets[sources, None] * n2 + arrows[:, 1]).ravel().tolist()
-        maps.append(PartialMap(f"slot{slot}", dict(zip(src, dst))))
-    product = Graphing(weights, maps)
-
-    in_f = np.zeros(n1, dtype=bool)
-    in_f[f_idx] = True
-    values = np.where(in_f[:, None], f2.values, 0.0).ravel()
+    values = np.where(np.isin(np.arange(n1), f_idx)[:, None], f2.values, 0.0).ravel()
 
     boundary = interior_boundary(x1_ball, f_idx)
     halo = np.union1d(f_idx, boundary.outer_boundary[boundary.outer_boundary < n1])
@@ -499,13 +501,8 @@ def product_test_function(
     bound = (1.0 - lambda2_prime + width * eps1) * norm_sq
     slack = bound - lhs
 
-    dec = orbit_decomposition(product)
-    shares = []
-    for members in dec.components:
-        idx = list(members)
-        share = float((w[idx] * values[idx] * values[idx]).sum()) / norm_sq
-        if share > 0:
-            shares.append(share)
+    shares = [float((w[idx] * values[idx] * values[idx]).sum()) / norm_sq
+              for idx in map(list, orbit_decomposition(product).components)]
 
     report = ProductTestReport(
         lambda2_prime=lambda2_prime,
@@ -516,7 +513,7 @@ def product_test_function(
         bound=bound,
         slack=slack,
         inequality_holds=slack >= -1e-9,
-        component_shares=tuple(shares),
+        component_shares=tuple(share for share in shares if share > 0),
         product=product,
     )
     return f, report
@@ -535,9 +532,9 @@ def _check_label(label: str) -> None:
 def graphing_to_text(g: Graphing) -> str:
     """Serialize: a weights header line, then one line per map."""
     lines = ["weights " + " ".join(repr(float(x)) for x in g.weights)]
-    for m in g.maps:
-        body = " ".join(f"{x}->{m.mapping[x]}" for x in sorted(m.mapping))
-        lines.append(f"{m.label}: {body}".rstrip())
+    for label, column in zip(g.labels, g.targets.T):
+        body = " ".join(f"{x}->{y}" for x, y in _arrows(column))
+        lines.append(f"{label}: {body}".rstrip())
     return "\n".join(lines) + "\n"
 
 

@@ -57,6 +57,80 @@ def check_rokhlin(g, part, delta):
     return not (moved & same_class & (label >= 0)[:, None]).any()
 
 
+def reference_single_map_classes(n, phi, cap):
+    """Rokhlin class labels of one map by a dict walk (oracle): chain
+    parity, fixed points, cycle phases.
+
+    Returns (labels, long) where labels[x] is a hashable class key and
+    ``long`` collects the points of odd cycles longer than the cap.
+    """
+    preimage = {v: u for u, v in phi.items()}
+    steps_left = {}
+    for end in range(n):
+        if end in phi or end in steps_left:
+            continue
+        # walk the preimage chain, assigning distance-to-exit
+        k = 0
+        steps_left[end] = 0
+        cur = end
+        while cur in preimage:
+            cur = preimage[cur]
+            k += 1
+            steps_left[cur] = k
+
+    labels = {}
+    long = set()
+    for x, k in steps_left.items():
+        labels[x] = ("chain", k % 2)
+
+    seen = set(steps_left)
+    for start in range(n):
+        if start in seen:
+            continue
+        cycle = [start]
+        seen.add(start)
+        cur = phi[start]
+        while cur != start:
+            cycle.append(cur)
+            seen.add(cur)
+            cur = phi[cur]
+        length = len(cycle)
+        anchor = cycle.index(min(cycle))
+        if length == 1:
+            labels[start] = ("fix",)
+        elif length % 2 == 0:
+            for offset, x in enumerate(cycle):
+                labels[x] = ("chain", (offset - anchor) % 2)
+        else:
+            for offset, x in enumerate(cycle):
+                labels[x] = ("odd", length, (offset - anchor) % length)
+            if length > cap:
+                long.update(cycle)
+    return labels, long
+
+
+def reference_rokhlin(g, delta, class_cap=64):
+    """(B, classes) of the Rokhlin partition by per-map dict walks and
+    tuple-keyed grouping of the points outside B (oracle)."""
+    all_labels = []
+    long = set()
+    for i, j in enumerate(g.inv_index):
+        if i <= j:
+            labels, points = reference_single_map_classes(g.n_points, g.maps[i].mapping, class_cap)
+            all_labels.append(labels)
+            long |= points
+    b_part = tuple(sorted(long))
+    if float(g.weights[list(b_part)].sum()) > delta:
+        b_part = ()
+    outside = sorted(set(range(g.n_points)).difference(b_part))
+    keys = zip(*([lab[x] for x in outside] for lab in all_labels))
+    groups = {}
+    for x, key in zip(outside, keys):
+        groups.setdefault(key, []).append(x)
+    classes = sorted((tuple(v) for v in groups.values()), key=lambda c: c[0])
+    return b_part, tuple(classes)
+
+
 def union_find_components(g):
     """Independent orbit decomposition via union-find."""
     parent = list(range(g.n_points))

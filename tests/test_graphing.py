@@ -11,6 +11,7 @@ from helpers import (
     naive_markov,
     naive_mtp,
     random_graphing,
+    reference_rokhlin,
     union_find_components,
 )
 from cospectral.errors import ValidationError
@@ -61,6 +62,25 @@ def test_orbit_decomposition_against_union_find():
         dec = orbit_decomposition(g)
         assert sorted(dec.components) == union_find_components(g)
         assert sum(dec.class_weights) == pytest.approx(g.total_weight())
+        assert dec.class_weights == pytest.approx([g.weights[list(c)].sum() for c in dec.components])
+
+
+def test_orbit_decomposition_of_long_paths_against_union_find():
+    # 60 paths of 1-80 points each under one partial shift, on shuffled
+    # point ids, so a component's least point can sit anywhere along it
+    rng = np.random.default_rng(11)
+    sizes = rng.integers(1, 81, size=60)
+    ids = rng.permutation(int(sizes.sum()))
+    shift = {}
+    for path in np.split(ids, np.cumsum(sizes)[:-1]):
+        shift.update(zip(path[:-1].tolist(), path[1:].tolist()))
+    g = Graphing.from_pairs([1.0] * len(ids), [("m", shift)])
+    dec = orbit_decomposition(g)
+    assert dec.n_classes == 60
+    assert list(dec.components) == union_find_components(g)
+    assert dec.component_of.tolist() == [
+        next(k for k, c in enumerate(dec.components) if x in c) for x in range(g.n_points)
+    ]
 
 
 def test_mtp_constant_kernel_on_cycle():
@@ -170,6 +190,53 @@ def test_rokhlin_light_long_cycle_forms_b():
     assert heavy.B == ()
     assert heavy.n_classes == 103
     assert check_rokhlin(g, heavy, 0.01)
+
+
+def test_rokhlin_matches_dict_walk_reference_on_random_grid():
+    nonempty = 0
+    for seed in range(300):
+        for max_points in (8, 30, 80):
+            g = random_graphing(seed, max_points=max_points)
+            for delta in (0.01, 0.1, 0.5, 100):
+                for cap in (1, 3, 64):
+                    part = rokhlin_partition(g, delta, class_cap=cap)
+                    assert (part.B, part.classes) == reference_rokhlin(g, delta, cap)
+                    nonempty += bool(part.B)
+    assert nonempty
+
+
+def test_rokhlin_long_chain_and_cycles_beside_undefined_points():
+    # one map, on shuffled ids: a 1,000-point chain, odd cycles of 7 and 3
+    # points, an even 6-cycle, an explicit fixed point and two points
+    # where the map is undefined (one of them isolated)
+    rng = np.random.default_rng(5)
+    ids = rng.permutation(1020).tolist()
+    shift = {ids[i]: ids[i + 1] for i in range(999)}
+    for start, length in ((1000, 7), (1007, 3), (1010, 6)):
+        shift.update({ids[start + i]: ids[start + (i + 1) % length] for i in range(length)})
+    shift[ids[1016]] = ids[1016]
+    shift[ids[1017]] = ids[1018]  # a two-point chain; ids[1019] is isolated
+    weights = np.ones(1020)
+    weights[ids[1000:1007]] = 1e-3  # the 7-cycle weighs 0.007
+    g = Graphing.from_pairs(weights, [("m", shift)])
+    for delta in (0.001, 0.01):
+        for cap in (1, 3, 5, 7, 64):
+            part = rokhlin_partition(g, delta, class_cap=cap)
+            assert (part.B, part.classes) == reference_rokhlin(g, delta, cap)
+            assert check_rokhlin(g, part, delta)
+    part = rokhlin_partition(g, 0.01, class_cap=3)
+    assert part.B == tuple(sorted(ids[1000:1007]))
+    # chain parity 0 and 1 (with the 6-cycle's phases), the fixed point,
+    # and the 3-cycle's three phases
+    assert part.n_classes == 6
+    assert (ids[1016],) in part.classes
+    parity = {x: k % 2 for k, x in enumerate(reversed(ids[:1000]))}
+    parity.update({ids[1017]: 1, ids[1018]: 0, ids[1019]: 0})
+    chain_classes = [c for c in part.classes if parity.keys() & set(c)]
+    assert len(chain_classes) == 2
+    for cls in chain_classes:
+        assert len({parity[x] for x in cls if x in parity}) == 1
+        assert len(set(ids[1010:1016]) & set(cls)) == 3
 
 
 def _long_odd_cycle_points(g, cap):
@@ -396,6 +463,15 @@ def test_product_test_function_support_violation_rejected():
         validate_test_function(x2, TestFunction(np.array([0.0, 0.0]), (0, 1)))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_test_functions_rejected(bad):
+    x2 = _two_point_swap()
+    with pytest.raises(ValidationError):
+        validate_test_function(x2, TestFunction(np.array([bad, 1.0]), (0, 1)))
+    with pytest.raises(ValidationError):
+        product_test_function(_cycle_ball(10), [0, 1], x2, TestFunction(np.array([bad, 1.0]), (0, 1)))
+
+
 def test_product_test_function_slot_alignment_enforced():
     ball = _cycle_ball(10)
     lopsided = Graphing(
@@ -437,6 +513,29 @@ def test_graphing_validation_errors():
         Graphing([1.0, 1.0], [("m", {0: 1})])  # inverse missing
     with pytest.raises(ValidationError):
         PartialMap("m", {0: 1, 1: 1})  # not injective
+    with pytest.raises(ValidationError):
+        Graphing([1.0, 1.0], [("m", {0: 1, 1: 1}), ("m~", {1: 0})])  # not injective
+    with pytest.raises(ValidationError):
+        Graphing([1.0, 1.0], [("m", {0: 2}), ("m~", {2: 0})])  # leaves the point set
+    with pytest.raises(ValidationError):
+        Graphing([1.0, 1.0], [("m", {0.5: 1}), ("m~", {1: 0.5})])  # not an integer
+    with pytest.raises(ValidationError):
+        Graphing([1.0, 1.0], [("m", {1.0: 0}), ("m~", {0: 1.0})])
+    with pytest.raises(ValidationError):
+        Graphing([1.0, 1.0], [("m", {True: 0}), ("m~", {0: True})])  # bools are not points
+    with pytest.raises(ValidationError):
+        Graphing.from_pairs([1.0, 1.0], [("m", {0: np.bool_(True)})])
+    g = Graphing([1.0, 1.0], [("m", {np.int64(0): np.int32(1)}), ("m~", {1: 0})])
+    assert g.targets.tolist() == [[1, -1], [-1, 0]]
+
+
+def test_targets_keep_undefined_points_apart_from_fixed_points():
+    g = Graphing.from_pairs([1.0] * 3, [("m", {0: 0, 1: 2})])
+    assert g.labels == ("m", "m~")
+    assert g.targets.tolist() == [[0, 0], [2, -1], [-1, 1]]
+    assert g.table.tolist() == [[0, 0], [2, 1], [2, 1]]
+    assert [(m.label, m.mapping) for m in g.maps] == [("m", {0: 0, 1: 2}), ("m~", {0: 0, 2: 1})]
+    assert g.maps is g.maps  # built once, on first access
 
 
 def test_from_pairs_gives_each_repeated_map_its_own_inverse():
@@ -455,6 +554,8 @@ def test_text_format_roundtrip():
     assert np.array_equal(g.weights, g2.weights)
     assert [m.mapping for m in g.maps] == [m.mapping for m in g2.maps]
     assert [m.label for m in g.maps] == [m.label for m in g2.maps]
+    assert np.array_equal(g.targets, g2.targets)
+    assert graphing_to_text(g2) == text
     labelled = Graphing([1.0, 1.0], [
         PartialMap("weights2", {0: 1}),
         PartialMap("x:y", {1: 0}),
