@@ -53,8 +53,6 @@ CLI_COMMANDS = {
     "cogrowth": ["cogrowth", "--gens", "aabAA|BA|bbaaab"],
     "spectral-dirichlet": ["spectral", "--oracle", "stallings:gens=aab|bAb", "--radius", "8"],
     "spectral-dirichlet-perm": ["spectral", "--oracle", "perm:n=50", "--seed", "0", "--radius", "12"],
-    "spectral-return": ["spectral", "--oracle", "stallings:gens=aab|bAb", "--method", "return",
-                        "--steps", "6"],
     "sample-percolation": ["sample", "--family", "percolation", "--window", "40", "--seed", "2"],
     "sample-permutation": ["sample", "--family", "permutation", "--n", "12", "--seed", "3"],
     "graphing-mtp": ["graphing", "mtp", "--file", "{parts}", "--seed", "3"],

@@ -50,7 +50,6 @@ from .spectral import (
     critical_exponent,
     dirichlet_lower_bound,
     grigorchuk_rho,
-    return_probability_bound,
 )
 from .graphing import (
     Graphing,

@@ -41,7 +41,7 @@ from .irs import (
     sample_to_json,
 )
 from .schreier import DEFAULT_VERTEX_CAP, ball_to_dot, folner_search, generate_ball
-from .spectral import dirichlet_lower_bound, return_probability_bound
+from .spectral import dirichlet_lower_bound
 from .stallings import (
     automaton_to_dot,
     build_automaton,
@@ -71,12 +71,8 @@ def _cmd_ball(args) -> int:
 
 def _cmd_spectral(args) -> int:
     oracle = parse_oracle_spec(args.oracle, seed=args.seed)
-    if args.method == "dirichlet":
-        ball = generate_ball(oracle, args.radius, vertex_cap=args.cap)
-        estimate = dirichlet_lower_bound(ball)
-    else:
-        estimate = return_probability_bound(oracle, args.steps, state_cap=args.cap)
-    _emit(estimate.to_json(), args.out)
+    ball = generate_ball(oracle, args.radius, vertex_cap=args.cap)
+    _emit(dirichlet_lower_bound(ball).to_json(), args.out)
     return 0
 
 
@@ -227,11 +223,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dot", default=None, help="also write a DOT rendering here")
     p.set_defaults(fn=_cmd_ball)
 
-    p = sub.add_parser("spectral", help="co-spectral radius lower bounds")
+    p = sub.add_parser("spectral", help="Dirichlet lower bound for the co-spectral radius")
     p.add_argument("--oracle", required=True)
-    p.add_argument("--method", choices=["dirichlet", "return"], default="dirichlet")
     p.add_argument("--radius", type=int, default=10)
-    p.add_argument("--steps", type=int, default=4, help="n for the 2n-step return bound")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--cap", type=int, default=DEFAULT_VERTEX_CAP)
     p.add_argument("--out", default=None)

@@ -164,16 +164,27 @@ def load_config(path: str, overrides: dict | None = None) -> ExperimentConfig:
     return ExperimentConfig(**values)
 
 
+# the keys each oracle family reads; any other key is a validation error
+_SPEC_KEYS = {
+    "trivial": {"d"}, "whole": {"d"}, "stallings": {"gens", "d"}, "zkernel": {"weights", "d"},
+    "perm": {"n", "d", "seed"}, "percolation": {"p", "window", "seed"},
+}
+
+
 def parse_oracle_spec(spec: str, seed: int | None = None, d: int | None = None) -> SubgroupOracle:
     """Build an oracle from a compact spec string.
 
     Grammar: family[:key=value,key=value...]; list values use '|'.
-    Families: trivial, whole, stallings (gens, d), zkernel (weights, d),
-    perm (n, d, seed), percolation (p, window, seed).  An explicit ``seed``
-    argument fills in samplers whose spec omits one.
+    Families: trivial (d), whole (d), stallings (gens, d), zkernel
+    (weights, d), perm (n, d, seed), percolation (p, window, seed).  A key
+    the family does not read, or a zkernel ``d`` other than its number of
+    weights, is a ValidationError.  An explicit ``seed`` argument fills in
+    samplers whose spec omits one.
     """
     family, _, rest = str(spec).strip().partition(":")
     family = family.strip()
+    if family not in _SPEC_KEYS:
+        raise ValidationError(f"unknown oracle family {family!r} in {spec!r}")
     params: dict[str, str] = {}
     if rest:
         for item in rest.split(","):
@@ -181,7 +192,13 @@ def parse_oracle_spec(spec: str, seed: int | None = None, d: int | None = None) 
             if not sep:
                 raise ValidationError(f"malformed oracle parameter {item!r} in {spec!r}")
             params[key.strip()] = value.strip()
+    unknown = sorted(set(params) - _SPEC_KEYS[family])
+    if unknown:
+        raise ValidationError(f"unknown {family} oracle key(s) {', '.join(unknown)} in {spec!r}")
     rank = _number(int, params.get("d", d if d is not None else 2), "rank d")
+    use_seed = _number(int, params["seed"], "seed") if "seed" in params else seed
+    if use_seed is None and "seed" in _SPEC_KEYS[family]:
+        raise ValidationError(f"{family} oracle spec {spec!r} needs a seed")
     if family == "trivial":
         return trivial_subgroup_oracle(rank)
     if family == "whole":
@@ -191,25 +208,23 @@ def parse_oracle_spec(spec: str, seed: int | None = None, d: int | None = None) 
         return StallingsOracle(build_automaton(gens.replace("|", ","), rank))
     if family == "zkernel":
         weights = [_number(int, x, "weight") for x in params.get("weights", "1").split("|")]
+        if "d" in params and rank != len(weights):
+            raise ValidationError(f"zkernel spec {spec!r} has d={rank} but {len(weights)} weights")
         return kernel_to_Z_oracle(len(weights), weights)
     if family == "perm":
         n = _number(int, params.get("n", 50), "point count n")
-        use_seed = _number(int, params["seed"], "seed") if "seed" in params else seed
-        if use_seed is None:
-            raise ValidationError(f"permutation oracle spec {spec!r} needs a seed")
         return permutation_stabilizer_oracle(n, rank, use_seed)
-    if family == "percolation":
-        p = _number(float, params.get("p", 0.5), "probability p")
-        window = _number(int, params.get("window", 1000), "window")
-        use_seed = _number(int, params["seed"], "seed") if "seed" in params else seed
-        if use_seed is None:
-            raise ValidationError(f"percolation oracle spec {spec!r} needs a seed")
-        return wreath_percolation_oracle(sample_bernoulli_percolation(p, window, use_seed))
-    raise ValidationError(f"unknown oracle family {family!r} in {spec!r}")
+    # percolation
+    p = _number(float, params.get("p", 0.5), "probability p")
+    window = _number(int, params.get("window", 1000), "window")
+    return wreath_percolation_oracle(sample_bernoulli_percolation(p, window, use_seed))
 
 
 def random_subgroup_words(seed: int, d: int = 2, max_generators: int = 3, max_word_len: int = 6) -> list[Word]:
     """Seeded random f.g. subgroup: up to max_generators reduced words."""
+    for name, value in (("d", d), ("max_generators", max_generators), ("max_word_len", max_word_len)):
+        if value < 1:
+            raise ValidationError(f"{name} must be >= 1, got {value}")
     rng = np.random.default_rng(seed)
     n_gens = int(rng.integers(1, max_generators + 1))
     out = []

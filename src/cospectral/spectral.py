@@ -1,17 +1,17 @@
-"""Lower-bound estimators for the co-spectral radius, plus the cogrowth bridge.
+"""Lower bound for the co-spectral radius, plus the cogrowth bridge.
 
 The co-spectral radius of a subgroup is the norm of the Markov averaging
 operator M over the symmetric generating set acting on square-summable
-functions on the coset space.  Two certified lower bounds are provided:
+functions on the coset space.  Its certified lower bound here is the top
+Rayleigh quotient of M over functions supported on the interior of a
+finite ball (Dirichlet restriction), computed by restarted Lanczos
+iteration with full reorthogonalisation from the constant vector.  It
+dominates the return-probability bound on the same window: a walk that
+returns within 2n steps never leaves B(n), so
+p_{2n}(root, root)^(1/2n) is at most the Dirichlet value at radius n+1.
 
-* the top Rayleigh quotient of M over functions supported on the interior
-  of a finite ball (Dirichlet restriction), computed by restarted Lanczos
-  iteration with full reorthogonalisation from the constant vector, and
-* return probabilities, p_{2n}(root, root)^(1/2n) <= rho by self-adjointness,
-  from 2n applications of the same ball-table matvec to the root indicator.
-
-Both apply one matvec, ``_neighbor_average``, hundreds of times, so it
-reads its neighbor table slot-major: a ``(2d, n)`` copy made once per
+The solve applies one matvec, ``_neighbor_average``, hundreds of times, so
+it reads its neighbor table slot-major: a ``(2d, n)`` copy made once per
 operator, gathered with one ``take`` and summed over the leading axis, the
 slots added in order, at every width.  The graphing Markov operator and
 the embedded spectral radius share it, and the Dirichlet bound and the
@@ -30,14 +30,13 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import BallCapExceeded, ValidationError
-from .schreier import DEFAULT_VERTEX_CAP, SchreierBall, SubgroupOracle, generate_ball
+from .errors import ValidationError
+from .schreier import SchreierBall
 
 __all__ = [
     "SpectralEstimate",
     "dirichlet_lower_bound",
     "dirichlet_vector",
-    "return_probability_bound",
     "grigorchuk_rho",
     "critical_exponent",
 ]
@@ -45,30 +44,29 @@ __all__ = [
 
 @dataclass
 class SpectralEstimate:
-    """A certified lower bound for the co-spectral radius.
+    """A certified lower bound for the co-spectral radius: the Dirichlet
+    value on the interior of the radius-``radius`` ball.
 
-    ``radius`` is the ball radius for the Dirichlet method and the radius
-    of the walk's ball for the return-probability method.  ``iterations``
-    counts operator applications: matvecs of the Dirichlet solve, or the
-    2n walk steps of the return-probability method.
+    ``iterations`` counts the solve's matvecs and ``residual`` is
+    |M v - value v| for the returned vector.  The JSON record keeps the
+    constant keys ``method`` ("dirichlet") and ``truncated`` (false), so
+    its layout is stable.
     """
 
     value: float
-    method: str
     radius: int
     iterations: int
     residual: float
-    truncated: bool
     flags: tuple[str, ...] = ()
 
     def to_json(self) -> dict:
         return {
-            "method": self.method,
+            "method": "dirichlet",
             "value": self.value,
             "radius": self.radius,
             "iterations": self.iterations,
             "residual": self.residual,
-            "truncated": self.truncated,
+            "truncated": False,
             "flags": list(self.flags),
         }
 
@@ -211,7 +209,7 @@ def dirichlet_vector(
         _restricted_average(ball.nbr, rows, ball.n_vertices + ball.n_outer), len(rows)
     )
     flags = () if residual <= _TOL else ("not_converged",)
-    estimate = SpectralEstimate(min(value, 1.0), "dirichlet", r, iterations, residual, False, flags)
+    estimate = SpectralEstimate(min(value, 1.0), r, iterations, residual, flags)
     return estimate, v, rows
 
 
@@ -225,49 +223,6 @@ def dirichlet_lower_bound(ball: SchreierBall, radius: int | None = None) -> Spec
     """
     estimate, _, _ = dirichlet_vector(ball, radius)
     return estimate
-
-
-def return_probability_bound(
-    oracle: SubgroupOracle,
-    n: int,
-    state_cap: int = DEFAULT_VERTEX_CAP,
-) -> SpectralEstimate:
-    """p_{2n}(root, root)^(1/2n), from 2n exact steps of the averaging
-    operator on a ball window.
-
-    The walk runs on the ball of radius n: a walk that returns within 2n
-    steps never leaves it, so there the value is exact.  ``state_cap`` is
-    the ball's vertex cap, outer rim included; past it the walk runs on the
-    largest ball that fits, dropping the mass that leaves it, and on no
-    ball (value 0) if even the root's rim does not fit.  Dropped mass only
-    lowers the return probability, so the result remains a valid lower
-    bound and is flagged truncated.  ``radius`` is the radius the walk used.
-    """
-    if n < 1:
-        raise ValidationError(f"n must be >= 1, got {n}")
-    radius = n
-    steps = 2 * n
-    try:
-        ball = generate_ball(oracle, radius, vertex_cap=state_cap)
-    except BallCapExceeded as exc:
-        if exc.attained_radius < 0:
-            return SpectralEstimate(
-                0.0, "return_probability", 0, steps, 0.0, True, ("zero_return_probability",)
-            )
-        # the attained ball fits with its rim; its rim is nonempty, or the
-        # whole graph would have fit, so the result below is flagged truncated
-        radius = exc.attained_radius
-        ball = generate_ball(oracle, radius, vertex_cap=state_cap)
-    walk = _neighbor_average(np.minimum(ball.nbr, ball.n_vertices))
-    x = np.zeros(ball.n_vertices)
-    x[0] = 1.0
-    for _ in range(steps):
-        x = walk(x)
-    p_return = float(x[0])
-    value = p_return ** (1.0 / steps) if p_return > 0 else 0.0
-    flags = () if p_return > 0 else ("zero_return_probability",)
-    truncated = radius < n and ball.n_outer > 0
-    return SpectralEstimate(value, "return_probability", radius, steps, 0.0, truncated, flags)
 
 
 def grigorchuk_rho(alpha: float, d: int) -> float:

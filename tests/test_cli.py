@@ -34,20 +34,12 @@ def test_spectral_command_dirichlet(capsys):
     assert abs(payload["value"] - np.cos(np.pi / 20)) < 1e-6
 
 
-def test_spectral_command_return(capsys):
-    code, out = run(capsys, [
-        "spectral", "--oracle", "whole", "--method", "return", "--steps", "3",
-    ])
-    assert code == 0
-    assert json.loads(out)["value"] == 1.0
-
-
-def test_spectral_command_return_honours_cap(capsys):
-    argv = ["spectral", "--oracle", "trivial", "--method", "return", "--steps", "3"]
-    _, out = run(capsys, argv)
-    assert json.loads(out)["truncated"] is False
-    _, out = run(capsys, argv + ["--cap", "10"])
-    assert json.loads(out)["truncated"] is True
+@pytest.mark.parametrize("option, value", [("method", "return"), ("steps", "3")])
+def test_spectral_command_has_no_return_options(capsys, option, value):
+    # the return-probability estimator is gone; the Dirichlet bound dominates it
+    with pytest.raises(SystemExit) as exc:
+        main(["spectral", "--oracle", "whole", f"--{option}", value])
+    assert exc.value.code == 2
 
 
 def test_intersect_command(capsys, tmp_path):
@@ -194,6 +186,12 @@ def test_exit_code_resource_cap(capsys):
     pytest.param(["experiment", "sup_conjugates", "--config", "{cfg}"],
                  "experiment = sup_conjugates\nseeds =\n", id="config-empty-seeds"),
     pytest.param(["experiment", "main_theorem", "--config", "{missing}"], None, id="missing-config"),
+    pytest.param(["experiment", "cogrowth_sweep", "--config", "{cfg}"],
+                 "experiment = cogrowth_sweep\nd = 0\n", id="config-d"),
+    pytest.param(["experiment", "cogrowth_sweep", "--config", "{cfg}"],
+                 "experiment = cogrowth_sweep\nmax_generators = 0\n", id="config-max-generators"),
+    pytest.param(["experiment", "cogrowth_sweep", "--config", "{cfg}"],
+                 "experiment = cogrowth_sweep\nmax_word_len = 0\n", id="config-max-word-len"),
     pytest.param(["cogrowth", "--gens", "@{missing}"], None, id="missing-generator-file"),
     pytest.param(["graphing", "mtp", "--file", "{missing}"], None, id="missing-graphing-file"),
     pytest.param(["ball", "--oracle", "trivial", "--radius", "1", "--out", "{missing}/x.json"],

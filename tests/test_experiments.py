@@ -53,6 +53,10 @@ def test_parse_oracle_spec_families():
         parse_oracle_spec("martian")
     with pytest.raises(ValidationError):
         parse_oracle_spec("perm:n")
+    # keys a family does not read, and a zkernel rank that its weights contradict
+    for spec in ("percolation:p=0.5,windw=5,seed=1", "zkernel:weight=1|1", "zkernel:weights=1|0,d=3"):
+        with pytest.raises(ValidationError):
+            parse_oracle_spec(spec)
 
 
 def test_config_file_roundtrip(tmp_path):

@@ -8,7 +8,7 @@ ROOT = Path(__file__).resolve().parents[1]
 EXPERIMENTS = ("cogrowth_sweep", "main_theorem", "sup_conjugates", "wreath_counterexample")
 WORKLOADS = ("free_windows", "main_theorem", "combinatorics")
 COMMANDS = ("ball-dot", "intersect-dot", "cogrowth", "spectral-dirichlet", "spectral-dirichlet-perm",
-            "spectral-return", "sample-percolation", "sample-permutation", "graphing-mtp",
+            "sample-percolation", "sample-permutation", "graphing-mtp",
             "graphing-rokhlin", "graphing-embedded",
             "graphing-testfn", "experiment-main-theorem-capped", "experiment-cogrowth-long")
 

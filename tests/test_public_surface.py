@@ -1,6 +1,7 @@
-"""The package's public surface: every name a module exports exists, and the
-package namespace re-exports only names their modules list as public, so a
-deleted function left in an ``__all__`` or an import fails here."""
+"""The package's public surface: every name a module exports exists, the
+package namespace re-exports only names their modules list as public, and no
+module keeps an import it does not use, so a deleted function left in an
+``__all__`` or an import fails here."""
 
 import ast
 import importlib
@@ -30,3 +31,27 @@ def test_package_reexports_only_listed_names():
             if public is not None:
                 unlisted += [f"{node.module}.{a.name}" for a in node.names if a.name not in public]
     assert unlisted == []
+
+
+def _bound_names(node):
+    """Names a module-level import statement binds."""
+    if isinstance(node, ast.Import):
+        return [a.asname or a.name.partition(".")[0] for a in node.names]
+    if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+        return [a.asname or a.name for a in node.names]
+    return []
+
+
+def test_no_module_keeps_an_unused_import():
+    unused = []
+    for path in sorted(Path(cospectral.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":  # its imports are the package's re-exports
+            continue
+        tree = ast.parse(path.read_text())
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["__all__"]:
+                used.update(ast.literal_eval(node.value))
+        unused += [f"{path.stem}.{name}" for node in tree.body for name in _bound_names(node)
+                   if name not in used]
+    assert unused == []

@@ -26,7 +26,6 @@ from cospectral.spectral import (
     dirichlet_lower_bound,
     dirichlet_vector,
     grigorchuk_rho,
-    return_probability_bound,
 )
 from cospectral.stallings import build_automaton, cogrowth_rate
 
@@ -123,74 +122,6 @@ def test_dirichlet_validations():
         dirichlet_lower_bound(ball, radius=5)
 
 
-def test_return_probability_line():
-    est = return_probability_bound(kernel_to_Z_oracle(1, (1,)), 2)
-    assert est.value == pytest.approx((6 / 16) ** 0.25)
-    assert not est.truncated
-    assert est.iterations == 4
-
-
-def test_return_probability_tree():
-    est = return_probability_bound(trivial_subgroup_oracle(2), 1)
-    assert est.value == pytest.approx(0.5)
-
-
-def test_return_probability_whole_group():
-    for n in (1, 3, 5):
-        assert return_probability_bound(whole_group_oracle(2), n).value == pytest.approx(1.0)
-
-
-def test_return_probability_truncation_is_still_lower_bound():
-    # 53 vertices hold the tree's B(2) and its rim (17 + 36) but not B(3)
-    oracle = trivial_subgroup_oracle(2)
-    truncated = return_probability_bound(oracle, 3, state_cap=53)
-    full = return_probability_bound(oracle, 3)
-    assert (truncated.radius, truncated.truncated) == (2, True)
-    assert truncated.value <= full.value + 1e-12
-    assert (full.radius, full.truncated) == (3, False)
-
-
-def _walk_return(oracle, n, radius):
-    """p_2n(root, root)^(1/2n) from a 2n-step walk on the radius-``radius`` ball."""
-    ball = generate_ball(oracle, radius)
-    walk = spectral._neighbor_average(np.minimum(ball.nbr, ball.n_vertices))
-    x = np.zeros(ball.n_vertices)
-    x[0] = 1.0
-    for _ in range(2 * n):
-        x = walk(x)
-    return x[0] ** (1.0 / (2 * n))
-
-
-def test_return_probability_default_radius_is_exact():
-    # mass beyond distance n cannot return within 2n steps
-    for oracle in (
-        kernel_to_Z_oracle(1, (1,)),
-        trivial_subgroup_oracle(2),
-        StallingsOracle(build_automaton("aa,b", 2)),
-    ):
-        for n in (1, 2, 3, 4):
-            default = return_probability_bound(oracle, n)
-            assert default.value == _walk_return(oracle, n, 2 * n)
-            assert default.radius == n and not default.truncated
-    assert return_probability_bound(trivial_subgroup_oracle(2), 3, state_cap=53).truncated
-
-
-def test_supermultiplicativity_untruncated():
-    for oracle in (
-        kernel_to_Z_oracle(1, (1,)),
-        trivial_subgroup_oracle(2),
-        StallingsOracle(build_automaton("aa,b", 2)),
-    ):
-        p = {}
-        for n in (1, 2, 3, 4, 5):
-            est = return_probability_bound(oracle, n)
-            assert not est.truncated
-            p[2 * n] = est.value ** (2 * n)
-        for m in (1, 2):
-            for n in (1, 2):
-                assert p[2 * (m + n)] >= p[2 * m] * p[2 * n] - 1e-12
-
-
 def test_grigorchuk_values():
     assert grigorchuk_rho(3, 2) == pytest.approx(1.0)
     assert grigorchuk_rho(math.sqrt(3), 2) == pytest.approx(math.sqrt(3) / 2)
@@ -240,49 +171,6 @@ def test_estimate_json_record():
         "method", "value", "radius", "iterations", "residual", "truncated", "flags",
     ]
     assert record["method"] == "dirichlet"
-
-
-def test_return_probability_validations():
-    with pytest.raises(ValidationError):
-        return_probability_bound(whole_group_oracle(2), 0)
-
-
-def test_return_probability_below_formula_value():
-    # both estimators stay under the cogrowth-formula rho for f.g. subgroups
-    for gens in ("a", "aa,b", "a,b"):
-        automaton = build_automaton(gens, 2)
-        oracle = StallingsOracle(automaton)
-        rho = grigorchuk_rho(cogrowth_rate(automaton).alpha, 2)
-        est = return_probability_bound(oracle, 4)
-        assert est.value <= rho + 0.02
-
-
-def test_return_probability_state_cap_flags_truncated():
-    est = return_probability_bound(trivial_subgroup_oracle(2), 4, state_cap=10)
-    assert est.truncated
-    assert est.value <= math.sqrt(3) / 2  # still a valid lower bound
-    # the root's rim alone overflows the cap: no walk, value 0, no exception
-    est = return_probability_bound(trivial_subgroup_oracle(2), 4, state_cap=1)
-    assert est.value == 0.0
-    assert est.truncated
-
-
-def test_return_probability_cap_rebuilds_once(monkeypatch):
-    calls = []
-
-    def counting(oracle, radius, vertex_cap):
-        calls.append(radius)
-        return generate_ball(oracle, radius, vertex_cap=vertex_cap)
-
-    monkeypatch.setattr(spectral, "generate_ball", counting)
-    tree = trivial_subgroup_oracle(2)
-    est = return_probability_bound(tree, 4, state_cap=10)
-    assert (est.radius, est.value, est.truncated) == (0, 0.0, True)
-    assert calls == [4, 0]
-    calls.clear()
-    est = return_probability_bound(tree, 6, state_cap=200)
-    assert (est.radius, est.truncated) == (3, True)
-    assert calls == [6, 3]
 
 
 def test_non_convergence_flagged(monkeypatch):
