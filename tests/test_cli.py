@@ -35,7 +35,7 @@ def test_spectral_command_dirichlet(capsys):
 
 
 @pytest.mark.parametrize("option, value", [("method", "return"), ("steps", "3")])
-def test_spectral_command_has_no_return_options(capsys, option, value):
+def test_spectral_command_has_no_return_options(option, value):
     # the return-probability estimator is gone; the Dirichlet bound dominates it
     with pytest.raises(SystemExit) as exc:
         main(["spectral", "--oracle", "whole", f"--{option}", value])
