@@ -210,7 +210,7 @@ def parse_oracle_spec(spec: str, seed: int | None = None, d: int | None = None) 
         weights = [_number(int, x, "weight") for x in params.get("weights", "1").split("|")]
         if "d" in params and rank != len(weights):
             raise ValidationError(f"zkernel spec {spec!r} has d={rank} but {len(weights)} weights")
-        return kernel_to_Z_oracle(len(weights), weights)
+        return kernel_to_Z_oracle(weights)
     if family == "perm":
         n = _number(int, params.get("n", 50), "point count n")
         return permutation_stabilizer_oracle(n, rank, use_seed)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from functools import cached_property
-from typing import Callable, Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -112,9 +112,6 @@ class Graphing:
     @property
     def n_maps(self) -> int:
         return len(self.labels)
-
-    def total_weight(self) -> float:
-        return float(self.weights.sum())
 
     def apply_markov(self, f: np.ndarray) -> np.ndarray:
         """Average f over all map slots, undefined slots staying put."""
@@ -231,44 +228,30 @@ def orbit_decomposition(g: Graphing) -> OrbitDecomposition:
     return OrbitDecomposition(_groups(least[:, None], np.arange(g.n_points)), weights, component_of)
 
 
-Kernel = Union[Callable[[int, int], float], Mapping[tuple[int, int], float]]
-
-
-def mtp_check(g: Graphing, kernel: Kernel) -> tuple[float, float]:
+def mtp_check(g: Graphing, kernel: Mapping[tuple[int, int], float]) -> tuple[float, float]:
     """Both sides of the mass transport identity for a kernel on the
     orbit relation: integral of mass sent vs mass received.
 
     Kernel values off the relation are treated as 0.  For measure-preserving
     graphings the two sides agree (weights are constant along orbits).
-    A mapping kernel's keys must be pairs of points of the graphing, as
-    integers (not bools).
+    The kernel's keys must be pairs of points of the graphing, as integers
+    (not bools).
     """
-    dec = orbit_decomposition(g)
-    w = g.weights
+    n, points = g.n_points, (int, np.integer)
+    # np.float64 weights, so that float32 kernel values still sum in float64
+    component, weight = orbit_decomposition(g).component_of.tolist(), list(g.weights)
     lhs = 0.0
     rhs = 0.0
-    if isinstance(kernel, Mapping):
-        n, points = g.n_points, (int, np.integer)
-        # np.float64 weights, so that float32 kernel values still sum in float64
-        component, weight = dec.component_of.tolist(), list(w)
-        for key, value in kernel.items():
-            x, y = key if type(key) is tuple and len(key) == 2 else (None, None)
-            if isinstance(x, bool) or isinstance(y, bool) or not (
-                isinstance(x, points) and isinstance(y, points) and 0 <= x < n and 0 <= y < n
-            ):
-                raise ValidationError(f"kernel key {key!r} is not a pair of points of the graphing")
-            if component[x] != component[y]:
-                continue
-            lhs += weight[x] * value
-            rhs += weight[y] * value
-    else:
-        for members in dec.components:
-            for x in members:
-                for y in members:
-                    value = kernel(x, y)
-                    if value:
-                        lhs += w[x] * value
-                        rhs += w[y] * value
+    for key, value in kernel.items():
+        x, y = key if type(key) is tuple and len(key) == 2 else (None, None)
+        if isinstance(x, bool) or isinstance(y, bool) or not (
+            isinstance(x, points) and isinstance(y, points) and 0 <= x < n and 0 <= y < n
+        ):
+            raise ValidationError(f"kernel key {key!r} is not a pair of points of the graphing")
+        if component[x] != component[y]:
+            continue
+        lhs += weight[x] * value
+        rhs += weight[y] * value
     return float(lhs), float(rhs)
 
 

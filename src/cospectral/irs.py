@@ -40,9 +40,6 @@ class PercolationSample:
     window: int
     seed: int | None
 
-    def density(self) -> float:
-        return len(self.sites) / (2 * self.window + 1)
-
 
 def sample_bernoulli_percolation(p: float, window: int, seed: int) -> PercolationSample:
     """Each site of [-W, W] lands in the set independently with probability p."""
@@ -58,13 +55,13 @@ def sample_bernoulli_percolation(p: float, window: int, seed: int) -> Percolatio
     return PercolationSample(sites, float(p), int(window), int(seed))
 
 
-def percolation_from_sites(sites: Iterable[int], window: int, p: float = float("nan")) -> PercolationSample:
+def percolation_from_sites(sites: Iterable[int], window: int) -> PercolationSample:
     """Wrap an explicit site set (e.g. a deterministic segment) as a sample."""
     sites = frozenset(int(x) for x in sites)
     for x in sites:
         if abs(x) > window:
             raise ValidationError(f"site {x} lies outside the window [-{window}, {window}]")
-    return PercolationSample(sites, p, int(window), None)
+    return PercolationSample(sites, float("nan"), int(window), None)
 
 
 def maximal_segments(sites: Iterable[int]) -> list[tuple[int, int]]:
@@ -215,6 +212,8 @@ class PermutationStabilizerOracle(SubgroupOracle):
         if perms is None:
             rng = np.random.default_rng(seed)
             perms = [rng.permutation(n_points) for _ in range(d)]
+        elif len(perms) != d:
+            raise ValidationError(f"expected {d} permutations, got {len(perms)}")
         self.perms = [np.asarray(p, dtype=np.int64) for p in perms]
         for p in self.perms:
             if sorted(p.tolist()) != list(range(n_points)):
@@ -264,17 +263,15 @@ class ZKernelOracle(SubgroupOracle):
     co-amenable subgroup (the Schreier graph is Z with loops for
     zero-weight generators)."""
 
-    def __init__(self, d: int, weights: Sequence[int]):
-        if d < 1:
-            raise ValidationError(f"rank must be >= 1, got {d}")
+    def __init__(self, weights: Sequence[int]):
         weights = tuple(int(w) for w in weights)
-        if len(weights) != d:
-            raise ValidationError(f"expected {d} weights, got {len(weights)}")
+        if not weights:
+            raise ValidationError("need at least one weight")
         if not any(weights):
             raise ValidationError(
                 "all-zero weights give the whole group; use whole_group_oracle instead"
             )
-        self.d = int(d)
+        self.d = len(weights)
         self.weights = weights
         self.family = ("free", self.d)
         self.root = 0
@@ -299,8 +296,8 @@ class ZKernelOracle(SubgroupOracle):
         return total == 0
 
 
-def kernel_to_Z_oracle(d: int, weights: Sequence[int]) -> ZKernelOracle:
-    return ZKernelOracle(d, weights)
+def kernel_to_Z_oracle(weights: Sequence[int]) -> ZKernelOracle:
+    return ZKernelOracle(weights)
 
 
 # --- sample serialization ---------------------------------------------------

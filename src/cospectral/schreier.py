@@ -331,7 +331,7 @@ class SchreierBall:
     stored id, rim included, to its index) replay ``act`` from the root
     along the tree on first access, one call per stored vertex; until
     then ``ids_of`` replays only the union of the tree paths of the
-    vertices asked for (``id_of``: one path, ``dist`` calls), since the
+    vertices asked for (one vertex: one path, ``dist`` calls), since the
     spectral and path-count code reads only the tables and a Folner set is
     a small share of the ball.
 
@@ -397,10 +397,6 @@ class SchreierBall:
             path.append(letters[slot])
         path.reverse()
         return path
-
-    def id_of(self, index: int):
-        """The coset id of one stored vertex, ball or rim."""
-        return self.ids_of([index])[0]
 
     def ids_of(self, indices: Iterable[int]) -> list:
         """The coset ids of stored vertices, ball or rim, in the given order.
@@ -578,23 +574,20 @@ def generate_balls(
     oracles: ``_union`` numbers their cosets apart, one ``generate_ball``
     grows every member's window at once under ``vertex_cap``, and
     ``_split`` cuts each member's window out, bit for bit its own.  If that
-    BFS overflows, each half of the oracles is tried again, so an oracle
-    fails exactly when its own window overflows, with its own message.
-    Other oracles get their windows one at a time.
+    BFS overflows, or the oracles do not stack, each oracle gets its own
+    window, so an oracle fails exactly when its own window overflows, with
+    its own message.
     """
     # more roots than the cap cannot share one BFS
     union = _union(oracles, radius) if 1 < len(oracles) <= vertex_cap else None
-    if union is None:
-        return [_ball_or_error(o, radius, vertex_cap, prune_hanging) for o in oracles]
-    try:
-        ball = generate_ball(union, radius, vertex_cap, prune_hanging=prune_hanging)
-    except BallCapExceeded:
-        half = len(oracles) // 2
-        return [
-            *generate_balls(oracles[:half], radius, vertex_cap, prune_hanging=prune_hanging),
-            *generate_balls(oracles[half:], radius, vertex_cap, prune_hanging=prune_hanging),
-        ]
-    return _split(ball, oracles)
+    if union is not None:
+        try:
+            ball = generate_ball(union, radius, vertex_cap, prune_hanging=prune_hanging)
+        except BallCapExceeded:
+            pass
+        else:
+            return _split(ball, oracles)
+    return [_ball_or_error(o, radius, vertex_cap, prune_hanging) for o in oracles]
 
 
 def _ball_or_error(oracle, radius, vertex_cap, prune_hanging):

@@ -1,13 +1,13 @@
 """Stallings core automata for finitely generated subgroups of free groups.
 
 An automaton is a based, connected, folded graph whose edges carry positive
-generator labels and are traversable both ways.  Construction goes bouquet ->
-fold -> core; the folded automaton decides membership by deterministic
-tracing, intersections come from the based product, and the cogrowth rate is
-the Perron value of the non-backtracking operator on directed edges.  That
-operator has one slot-major kernel at every width, shared with the exact
-path counts of ``schreier``; the power iteration's tolerance and cap are
-module constants.
+generator labels and are traversable both ways.  Construction folds a bouquet
+of reduced words, which is already a core; the folded automaton decides
+membership by deterministic tracing, intersections come from the based
+product (trimmed to its core), and the cogrowth rate is the Perron value of
+the non-backtracking operator on directed edges.  That operator has one
+slot-major kernel at every width, shared with the exact path counts of
+``schreier``; the power iteration's tolerance and cap are module constants.
 
 States are relabeled canonically (BFS from the base, letters in a fixed
 order) on construction, so two automata accept the same subgroup with the
@@ -93,18 +93,20 @@ class StallingsAutomaton:
         if d < 1:
             raise ValidationError(f"rank must be >= 1, got {d}")
         self.d = d
-        self._check_folded_shape(table, base)
+        self._check_folded_shape(table, base, 2 * d)
         self.table = self._canonicalize(d, table, base)
         self.base = 0
         # letter -> the target of every state along it, for ``trace``
         self._targets = {letter_of_slot(s, d): col for s, col in enumerate(zip(*self.table))}
 
     @staticmethod
-    def _check_folded_shape(table, base):
+    def _check_folded_shape(table, base, width):
         n = len(table)
         if not (0 <= base < n):
             raise ValidationError("base state out of range")
         for row in table:
+            if len(row) != width:
+                raise ValidationError(f"a table row has {len(row)} slots, not {width}")
             for t in row:
                 if t is not None and not (0 <= t < n):
                     raise ValidationError("transition target out of range")
@@ -145,13 +147,11 @@ class StallingsAutomaton:
     def step(self, state: int, letter: int) -> int | None:
         return self.table[state][slot_of_letter(letter, self.d)]
 
-    def trace(self, word: Word | str) -> int | None:
+    def trace(self, word: Word) -> int | None:
         """Follow a word from the base; None once a transition is missing.
 
         A letter past the rank raises ValidationError when the trace reaches
         it."""
-        if isinstance(word, str):
-            word = parse_word(word)
         targets = self._targets
         state = self.base
         try:
@@ -212,15 +212,13 @@ class StallingsAutomaton:
         return f"StallingsAutomaton(d={self.d}, states={self.n_states})"
 
 
-def fold(graph: Union[EdgeListGraph, StallingsAutomaton]) -> StallingsAutomaton:
+def fold(graph: EdgeListGraph) -> StallingsAutomaton:
     """Fold a based labeled graph; the accepted subgroup is preserved.
 
     The result does not depend on the edge order (up to the canonical
-    relabeling applied on construction).  Folding an already folded
-    automaton returns an equal automaton.
+    relabeling applied on construction).  Folding the edge list of an
+    already folded automaton returns an equal automaton.
     """
-    if isinstance(graph, StallingsAutomaton):
-        return StallingsAutomaton(graph.d, graph.table, graph.base)
     graph.validate()
     d = graph.d
     n = graph.n_states
@@ -294,7 +292,10 @@ def build_automaton(generators: Union[str, Iterable[Union[str, Word]]], d: int) 
     """Stallings automaton of the subgroup generated by the given words.
 
     An empty generator list yields the one-state automaton of the trivial
-    subgroup.
+    subgroup.  The folded bouquet is already a core: in a bouquet of reduced
+    words every non-base state has two distinct defined slots (the inverse
+    of the letter entering it and the next letter), and folding only merges
+    slots, so no state has degree below 2.
     """
     words = parse_generator_list(generators)
     for w in words:
@@ -316,10 +317,10 @@ def build_automaton(generators: Union[str, Iterable[Union[str, Word]]], d: int) 
             else:
                 edges.append((nxt, -letter - 1, prev))
             prev = nxt
-    return fold(EdgeListGraph(d, n, 0, edges)).core()
+    return fold(EdgeListGraph(d, n, 0, edges))
 
 
-def membership(automaton: StallingsAutomaton, word: Word | str) -> bool:
+def membership(automaton: StallingsAutomaton, word: Word) -> bool:
     """True iff the word lies in the subgroup the automaton accepts."""
     return automaton.trace(word) == automaton.base
 

@@ -159,12 +159,6 @@ class WreathElement:
         items = support.items() if isinstance(support, Mapping) else support
         return cls(tuple(items), int(shift))
 
-    def lamp(self, pos: int) -> Word:
-        for p, w in self.support:
-            if p == pos:
-                return w
-        return IDENTITY_WORD
-
     def support_map(self) -> dict[int, Word]:
         return dict(self.support)
 

@@ -28,6 +28,7 @@ from cospectral.experiments import (
 from cospectral.schreier import StallingsOracle, count_reduced_returns, generate_ball, product_oracle
 from cospectral.spectral import critical_exponent, dirichlet_lower_bound
 from cospectral.stallings import build_automaton, cogrowth_rate
+from cospectral.words import parse_word
 
 
 def test_parse_int_set():
@@ -40,9 +41,7 @@ def test_parse_int_set():
 def test_parse_oracle_spec_families():
     assert parse_oracle_spec("trivial").d == 2
     assert parse_oracle_spec("whole:d=3").d == 3
-    assert parse_oracle_spec("stallings:gens=aa|b,d=2").membership(
-        __import__("cospectral").parse_word("aab")
-    )
+    assert parse_oracle_spec("stallings:gens=aa|b,d=2").membership(parse_word("aab"))
     assert parse_oracle_spec("zkernel:weights=1|0").weights == (1, 0)
     assert parse_oracle_spec("perm:n=10,seed=4").n_points == 10
     assert parse_oracle_spec("perm:n=10", seed=4).n_points == 10

@@ -32,7 +32,7 @@ def test_percolation_density_concentrates():
     hits = 0
     for seed in range(100):
         sample = sample_bernoulli_percolation(0.5, 10_000, seed)
-        if 0.48 <= sample.density() <= 0.52:
+        if 0.48 <= len(sample.sites) / 20_001 <= 0.52:
             hits += 1
     assert hits >= 95
 
@@ -104,6 +104,15 @@ def test_permutation_whole_group_and_transposition():
     assert len(o.orbit_of_root()) == 2
 
 
+@pytest.mark.parametrize("d, perms", [
+    (2, [[1, 2, 0]]),  # too few: the window's table has too few columns
+    (1, [[1, 2, 0], [0, 2, 1]]),  # too many: the extra one would be walked too
+])
+def test_permutation_count_must_equal_rank(d, perms):
+    with pytest.raises(ValidationError, match=f"expected {d} permutations, got {len(perms)}"):
+        PermutationStabilizerOracle(3, d, None, perms=perms)
+
+
 def test_permutation_usually_transitive():
     transitive = 0
     for seed in range(500):
@@ -120,7 +129,8 @@ def test_permutation_seed_determinism():
 
 
 def test_kernel_ball_and_root_return():
-    oracle = kernel_to_Z_oracle(2, (1, 0))
+    oracle = kernel_to_Z_oracle((1, 0))
+    assert oracle.d == 2  # the rank is the weight count
     ball = generate_ball(oracle, 5)
     assert sorted(ball.ids) == list(range(-5, 6))
     assert oracle.membership(parse_word("abAB"))  # zero a-exponent
@@ -128,13 +138,15 @@ def test_kernel_ball_and_root_return():
 
 
 def test_kernel_dirichlet_at_radius_40():
-    est = dirichlet_lower_bound(generate_ball(kernel_to_Z_oracle(2, (1, 0)), 40))
+    est = dirichlet_lower_bound(generate_ball(kernel_to_Z_oracle((1, 0)), 40))
     assert est.value >= 0.99
 
 
 def test_kernel_rejects_zero_weights():
     with pytest.raises(ValidationError):
-        kernel_to_Z_oracle(2, (0, 0))
+        kernel_to_Z_oracle((0, 0))
+    with pytest.raises(ValidationError, match="at least one weight"):
+        kernel_to_Z_oracle(())
 
 
 def _tv(c1: Counter, c2: Counter, n1: int, n2: int) -> float:
@@ -181,6 +193,6 @@ def test_longest_segment():
 
 def test_sample_to_json_rejects_what_the_cli_never_samples():
     sample = sample_bernoulli_percolation(1.0, 3, 0)
-    for other in (kernel_to_Z_oracle(2, (1, 0)), wreath_percolation_oracle(sample)):
+    for other in (kernel_to_Z_oracle((1, 0)), wreath_percolation_oracle(sample)):
         with pytest.raises(ValidationError, match="cannot serialize"):
             sample_to_json(other)

@@ -1,11 +1,13 @@
-"""The package's public surface: every name a module exports exists, the
-package namespace re-exports only names their modules list as public, and no
+"""The package's public surface: every name a module exports exists, no
 module keeps an import it does not use, so a deleted function left in an
-``__all__`` or an import fails here."""
+``__all__`` or an import fails here, and the package namespace re-exports
+nothing, so importing one module loads only what that module imports."""
 
 import ast
 import importlib
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -22,17 +24,6 @@ def test_every_name_in_all_resolves(name):
     assert [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)] == []
 
 
-def test_package_reexports_only_listed_names():
-    unlisted = []
-    for node in ast.parse(Path(cospectral.__file__).read_text()).body:
-        if isinstance(node, ast.ImportFrom) and node.level == 1:
-            module = importlib.import_module(f"cospectral.{node.module}")
-            public = getattr(module, "__all__", None)
-            if public is not None:
-                unlisted += [f"{node.module}.{a.name}" for a in node.names if a.name not in public]
-    assert unlisted == []
-
-
 def _bound_names(node):
     """Names a module-level import statement binds."""
     if isinstance(node, ast.Import):
@@ -45,8 +36,6 @@ def _bound_names(node):
 def test_no_module_keeps_an_unused_import():
     unused = []
     for path in sorted(Path(cospectral.__file__).parent.glob("*.py")):
-        if path.name == "__init__.py":  # its imports are the package's re-exports
-            continue
         tree = ast.parse(path.read_text())
         used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
         for node in tree.body:
@@ -55,3 +44,15 @@ def test_no_module_keeps_an_unused_import():
         unused += [f"{path.stem}.{name}" for node in tree.body for name in _bound_names(node)
                    if name not in used]
     assert unused == []
+
+
+def test_importing_one_module_loads_only_its_imports():
+    loaded = subprocess.run(
+        [sys.executable, "-c", "import sys, cospectral.words; print(*sorted(sys.modules))"],
+        capture_output=True, text=True, check=True,
+        cwd=Path(cospectral.__file__).parent.parent,
+    ).stdout.split()
+    assert [m for m in loaded if m.startswith("cospectral")] == [
+        "cospectral", "cospectral.errors", "cospectral.words",
+    ]
+    assert "numpy" not in loaded

@@ -47,7 +47,7 @@ def test_tree_ball_counts():
 
 
 def test_kernel_ball_is_line_with_loops():
-    oracle = kernel_to_Z_oracle(2, (1, 0))
+    oracle = kernel_to_Z_oracle((1, 0))
     ball = generate_ball(oracle, 5)
     assert ball.n_vertices == 11
     assert sorted(ball.ids) == list(range(-5, 6))
@@ -85,7 +85,7 @@ def test_edge_symmetry():
 
 
 def test_interior_boundary_interval_on_line():
-    ball = generate_ball(kernel_to_Z_oracle(1, (1,)), 10)
+    ball = generate_ball(kernel_to_Z_oracle((1,)), 10)
     interval = [ball.index[k] for k in range(-2, 3)]  # 5 consecutive cosets
     comp = interior_boundary(ball, interval)
     assert sorted(comp.subset_ids()) == [-2, -1, 0, 1, 2]
@@ -148,7 +148,7 @@ def test_product_partition_of_index_2_and_3():
 
 
 def test_product_kernel_with_index_two_is_strip():
-    o1 = kernel_to_Z_oracle(2, (1, 0))
+    o1 = kernel_to_Z_oracle((1, 0))
     o2 = PermutationStabilizerOracle(2, 2, None, perms=[[1, 0], [0, 1]])
     prod = product_oracle(o1, o2)
     ball = generate_ball(prod, 5)
@@ -165,7 +165,7 @@ def test_double_cosets_whole_whole():
 
 
 def test_double_cosets_of_normal_kernel():
-    oracle = kernel_to_Z_oracle(2, (1, 0))
+    oracle = kernel_to_Z_oracle((1, 0))
     entries = enumerate_double_cosets(oracle, oracle, 5, component_cap=200)
     assert len(entries) == 11  # one fiber of k1 - k2 per c in [-5, 5]
     sums = set()
@@ -205,7 +205,7 @@ def test_double_cosets_match_brute_force_random_finite_pairs():
 
 
 def test_folner_interval_defect_on_line():
-    ball = generate_ball(kernel_to_Z_oracle(1, (1,)), 10)
+    ball = generate_ball(kernel_to_Z_oracle((1,)), 10)
     interval = [ball.index[k] for k in range(-7, 8)]  # 15 vertices
     assert folner_defect(ball, interval) == pytest.approx(2 / 15)
     component, defect = folner_search(ball)
@@ -228,7 +228,7 @@ def test_folner_tree_nonamenable():
 
 
 def test_folner_defect_ids_matches_ball_version():
-    oracle = kernel_to_Z_oracle(2, (1, 0))
+    oracle = kernel_to_Z_oracle((1, 0))
     ball = generate_ball(oracle, 6)
     interval_ids = list(range(-2, 3))
     via_ball = folner_defect(ball, [ball.index[c] for c in interval_ids])
@@ -237,7 +237,7 @@ def test_folner_defect_ids_matches_ball_version():
 
 
 def _folner_oracles():
-    zkernel = kernel_to_Z_oracle(2, (1, -2))
+    zkernel = kernel_to_Z_oracle((1, -2))
     return [
         trivial_subgroup_oracle(2),
         whole_group_oracle(2),
@@ -308,9 +308,9 @@ class _UserOracle(SubgroupOracle):
 
 @pytest.mark.parametrize("oracle", [
     trivial_subgroup_oracle(2),
-    kernel_to_Z_oracle(2, (1, 0)),
+    kernel_to_Z_oracle((1, 0)),
     StallingsOracle(build_automaton("ab,ba", 2)),
-    product_oracle(kernel_to_Z_oracle(2, (1, -2)), PermutationStabilizerOracle(5, 2, 1)),
+    product_oracle(kernel_to_Z_oracle((1, -2)), PermutationStabilizerOracle(5, 2, 1)),
     PermutationStabilizerOracle(200, 2, 3),
     wreath_percolation_oracle(sample_bernoulli_percolation(0.5, 41, 3)),
     _UserOracle(),
@@ -358,13 +358,13 @@ def _id_types(coset):
 def _reference_cases():
     """(oracle, radii, coded): oracles with and without int64 coset codes,
     coded ones in every family and in products and reroots of them."""
-    zkernel = kernel_to_Z_oracle(2, (1, -2))
+    zkernel = kernel_to_Z_oracle((1, -2))
     stallings = StallingsOracle(build_automaton("ab,ba", 2))
     tail_root = conjugate(stallings, parse_word("aab"))
     assert len(tail_root.root) > 4  # a coset in a hanging tree
     products = [
         product_oracle(zkernel, stallings),
-        product_oracle(StallingsOracle(build_automaton("a", 2)), kernel_to_Z_oracle(2, (2, 1))),
+        product_oracle(StallingsOracle(build_automaton("a", 2)), kernel_to_Z_oracle((2, 1))),
     ]
     entries = [
         reroot(prod, entry.entry_pair)
@@ -393,7 +393,7 @@ def _reference_cases():
         (reroot(zkernel, 3), radii, True),
         *[(oracle, radii, True) for oracle in entries],
         (PermutationStabilizerOracle(5, 1, None, perms=[[1, 2, 3, 4, 0]]), radii, True),
-        (kernel_to_Z_oracle(3, (2, -1, 0)), radii, True),
+        (kernel_to_Z_oracle((2, -1, 0)), radii, True),
         (_UserOracle(), radii, False),
         (trivial_subgroup_oracle(1), [69, 70], False),  # 2^71 tails overflow int64
         # each factor's codes need 44 bits, so the pair spans two int64 keys
@@ -428,7 +428,7 @@ def test_coded_ball_decodes_ids_on_first_access():
     count_reduced_returns(ball.oracle, 4)
     assert not {"ids", "outer_ids", "index"} & set(vars(ball))
     assert ball.index[ball.ids[5]] == 5
-    assert ball.id_of(ball.n_vertices) == ball.outer_ids[0]
+    assert ball.ids_of([ball.n_vertices])[0] == ball.outer_ids[0]
 
 
 def test_folner_subset_decodes_only_its_rows():
@@ -466,7 +466,7 @@ def test_ball_replays_ids_along_its_bfs_tree():
     assert "_all_ids" not in vars(ball)
 
     oracle.calls = 0
-    one_by_one = [ball.id_of(i) for i in range(stored)]
+    one_by_one = [ball.ids_of([i])[0] for i in range(stored)]
     assert oracle.calls == int(ball.dist_full.sum())
     oracle.calls = 0
     assert one_by_one == ball.ids + ball.outer_ids
@@ -502,7 +502,7 @@ def test_indices_of_rejects_rim_ids():
 
 
 def test_indices_of_takes_ball_indices_only():
-    ball = generate_ball(kernel_to_Z_oracle(1, (1,)), 3)
+    ball = generate_ball(kernel_to_Z_oracle((1,)), 3)
     n = ball.n_vertices
     assert ball.ids[2] == -1
     assert interior_boundary(ball, [2]).subset_ids() == [-1]
@@ -532,7 +532,7 @@ def test_wreath_window_exceeded():
 
 
 def test_indices_of_rejects_foreign_ids():
-    ball = generate_ball(kernel_to_Z_oracle(1, (1,)), 3)
+    ball = generate_ball(kernel_to_Z_oracle((1,)), 3)
     with pytest.raises(ValidationError):
         ball.indices_of([99])
     with pytest.raises(ValidationError):
@@ -552,7 +552,7 @@ def test_word_to_reaches_vertex():
 
 
 def test_conjugate_oracle_is_rerooted_graph():
-    oracle = kernel_to_Z_oracle(2, (1, 0))
+    oracle = kernel_to_Z_oracle((1, 0))
     conj = conjugate(oracle, parse_word("a"))
     assert conj.root == 1
     assert ball_key(generate_ball(conj, 4)) == ball_key(generate_ball(oracle, 4))
@@ -608,7 +608,7 @@ def test_act_respects_inverses_all_families():
         trivial_subgroup_oracle(2),
         whole_group_oracle(3),
         StallingsOracle(build_automaton("aa,b,abA", 2)),
-        kernel_to_Z_oracle(2, (1, -2)),
+        kernel_to_Z_oracle((1, -2)),
         PermutationStabilizerOracle(9, 2, 4),
         wreath_percolation_oracle(sample_bernoulli_percolation(0.5, 12, 2)),
     ]
@@ -651,7 +651,7 @@ def test_count_reduced_returns_window_is_exact():
         trivial_subgroup_oracle(2),
         StallingsOracle(build_automaton("aa,b,abA", 2)),
         product_oracle(
-            kernel_to_Z_oracle(2, (1, 0)),
+            kernel_to_Z_oracle((1, 0)),
             StallingsOracle(build_automaton("aa,b,abA", 2)),
         ),
         PermutationStabilizerOracle(5, 2, 3),
@@ -669,8 +669,8 @@ def _criterion_3_pruning_oracles():
     for seed in range(20):
         h = StallingsOracle(build_automaton(random_subgroup_words(3000 + seed), 2))
         yield h
-        yield product_oracle(kernel_to_Z_oracle(2, (1, 0)), h)
-        yield product_oracle(kernel_to_Z_oracle(2, (1, 1)), h)
+        yield product_oracle(kernel_to_Z_oracle((1, 0)), h)
+        yield product_oracle(kernel_to_Z_oracle((1, 1)), h)
         yield product_oracle(h, PermutationStabilizerOracle(12, 2, seed))
 
 
@@ -721,7 +721,7 @@ def test_pruned_window_is_the_core_part_of_the_ball():
 def test_pruning_a_hanging_root_raises():
     tree = trivial_subgroup_oracle(2)
     hanging = reroot(tree, tree.root + bytes([0]))
-    for oracle in (hanging, product_oracle(kernel_to_Z_oracle(2, (1, 0)), hanging)):
+    for oracle in (hanging, product_oracle(kernel_to_Z_oracle((1, 0)), hanging)):
         with pytest.raises(ValidationError):
             generate_ball(oracle, 3, prune_hanging=True)
         with pytest.raises(ValidationError):
@@ -739,7 +739,7 @@ def _stacking_families():
     stallings = [
         StallingsOracle(build_automaton(random_subgroup_words(3000 + seed), 2)) for seed in range(8)
     ]
-    factors = [kernel_to_Z_oracle(2, (1, 0)), kernel_to_Z_oracle(2, (1, 1)),
+    factors = [kernel_to_Z_oracle((1, 0)), kernel_to_Z_oracle((1, 1)),
                PermutationStabilizerOracle(7, 2, 11)]
     for members in (perms, stallings):
         yield members
@@ -815,7 +815,7 @@ def test_two_roots_in_one_component_raise():
 def test_generate_balls_caps_each_member_as_its_own_ball(monkeypatch):
     from cospectral import schreier
 
-    zk = kernel_to_Z_oracle(2, (1, 0))
+    zk = kernel_to_Z_oracle((1, 0))
     members = [product_oracle(zk, PermutationStabilizerOracle(50, 2, seed)) for seed in range(6)]
     sizes = sorted(len(generate_ball(m, 10).dist_full) for m in members)
     traced, held = schreier.generate_ball, []
@@ -825,14 +825,16 @@ def test_generate_balls_caps_each_member_as_its_own_ball(monkeypatch):
         held.append((len(ball.dist_full), hasattr(ball, "labels")))
         return ball
 
-    shared = 0
-    for cap in (sizes[0] - 1, sizes[0], sizes[2], sizes[-1] - 1, sizes[-1], 2 * sizes[-1]):
+    shared = []
+    total = sum(sizes)  # the union holds every member's window
+    for cap in (sizes[0] - 1, sizes[0], sizes[2], sizes[-1] - 1, sizes[-1], 2 * sizes[-1], total - 1, total):
         held.clear()
         with monkeypatch.context() as m:
             m.setattr(schreier, "generate_ball", recording)
             windows = schreier.generate_balls(members, 10, cap)
         assert max(held, default=(0,))[0] <= cap  # no BFS holds more than the cap
-        shared += any(union for _, union in held)
+        if any(union for _, union in held):
+            shared.append(cap)
         for member, window in zip(members, windows):
             try:
                 ball = generate_ball(member, 10, cap)
@@ -841,21 +843,21 @@ def test_generate_balls_caps_each_member_as_its_own_ball(monkeypatch):
                 assert (str(window), window.attained_radius) == (str(err), err.attained_radius)
             else:
                 assert _same_window(window, ball)
-    assert shared == 1  # only twice the largest window holds two in one BFS
+    assert shared == [total]  # no smaller cap holds the six in one BFS
 
 
 def test_oracles_that_do_not_stack_get_their_own_windows(monkeypatch):
     from cospectral import schreier
 
-    zk = kernel_to_Z_oracle(2, (1, 0))
+    zk = kernel_to_Z_oracle((1, 0))
     perm = PermutationStabilizerOracle(12, 2, 0)
     tree1 = trivial_subgroup_oracle(1)
     cases = [
-        [kernel_to_Z_oracle(2, (1, w)) for w in range(3)],  # no stacked coder
+        [kernel_to_Z_oracle((1, w)) for w in range(3)],  # no stacked coder
         [wreath_percolation_oracle(sample_bernoulli_percolation(0.5, 20, s)) for s in range(3)],
         [_UserOracle(), _UserOracle()],
         [perm, StallingsOracle(build_automaton("ab", 2))],  # two families
-        [product_oracle(zk, perm), product_oracle(kernel_to_Z_oracle(2, (1, 0)), perm)],  # two first factors
+        [product_oracle(zk, perm), product_oracle(kernel_to_Z_oracle((1, 0)), perm)],  # two first factors
         [perm, PermutationStabilizerOracle(12, 3, 0)],  # two ranks
         [tree1, tree1],  # the stacked codes pass CODE_LIMIT at radius 69
     ]

@@ -32,7 +32,7 @@ from cospectral.stallings import build_automaton, cogrowth_rate
 
 def test_line_ball_matches_path_eigenvalue():
     # interior of the radius-10 ball of Z is a 19-vertex path
-    ball = generate_ball(kernel_to_Z_oracle(1, (1,)), 10)
+    ball = generate_ball(kernel_to_Z_oracle((1,)), 10)
     est = dirichlet_lower_bound(ball)
     assert est.value == pytest.approx(math.cos(math.pi / 20), abs=1e-10)
     assert est.residual <= 1e-10
@@ -71,13 +71,13 @@ def test_covered_orbit_solves_in_one_matvec():
 
 
 def test_dirichlet_vector_matches_dense_on_every_family():
-    oracles = [kernel_to_Z_oracle(2, (1, 0)), kernel_to_Z_oracle(2, (2, 1))]
+    oracles = [kernel_to_Z_oracle((1, 0)), kernel_to_Z_oracle((2, 1))]
     for seed in range(3):
         oracles.append(permutation_stabilizer_oracle(40, 2, seed))
         oracles.append(wreath_percolation_oracle(sample_bernoulli_percolation(0.5, 50, seed)))
     for gens in ("ab,ba", "aab,bab", "a,bb"):
         oracles.append(StallingsOracle(build_automaton(gens, 2)))
-    oracles.append(product_oracle(kernel_to_Z_oracle(2, (1, 0)), permutation_stabilizer_oracle(12, 2, 0)))
+    oracles.append(product_oracle(kernel_to_Z_oracle((1, 0)), permutation_stabilizer_oracle(12, 2, 0)))
     for oracle in oracles:
         ball = generate_ball(oracle, 5)
         est, vector, rows = dirichlet_vector(ball)
@@ -93,7 +93,7 @@ def test_single_vertex_all_loops():
 
 def test_monotone_in_radius():
     for oracle in (
-        kernel_to_Z_oracle(1, (1,)),
+        kernel_to_Z_oracle((1,)),
         trivial_subgroup_oracle(2),
         StallingsOracle(build_automaton("a", 2)),
         StallingsOracle(build_automaton("ab,ba", 2)),
@@ -175,7 +175,7 @@ def test_estimate_json_record():
 
 def test_non_convergence_flagged(monkeypatch):
     monkeypatch.setattr(spectral, "_MAX_MATVECS", 3)
-    ball = generate_ball(kernel_to_Z_oracle(1, (1,)), 10)
+    ball = generate_ball(kernel_to_Z_oracle((1,)), 10)
     est = dirichlet_lower_bound(ball)
     assert "not_converged" in est.flags
     assert est.iterations <= 3

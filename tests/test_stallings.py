@@ -21,6 +21,7 @@ from cospectral.schreier import (
 )
 from cospectral.stallings import (
     EdgeListGraph,
+    StallingsAutomaton,
     _nonbacktracking,
     automaton_to_dot,
     build_automaton,
@@ -71,7 +72,7 @@ def test_trace_matches_letter_by_letter_steps():
                 outcomes["rank_error"] += 1
                 continue
             assert automaton.trace(word) == expected
-            assert automaton.trace(str(word)) == expected
+            assert automaton.trace(parse_word(str(word))) == expected
             outcomes["fell_off" if expected is None else "state"] += 1
     assert min(outcomes.values()) >= 50, outcomes
 
@@ -115,7 +116,16 @@ def test_fold_merges_double_edge():
 
 def test_fold_of_folded_is_identity():
     a = build_automaton("aa,b", 2)
-    assert fold(a) == a
+    edges = [(u, s, t) for u, row in enumerate(a.table) for s, t in enumerate(row[: a.d]) if t is not None]
+    assert fold(EdgeListGraph(a.d, a.n_states, a.base, edges)) == a
+
+
+def test_built_automaton_is_its_own_core():
+    for d in (1, 2, 3):
+        for seed in range(60):
+            for size in ((3, 6), (5, 10)):
+                automaton = build_automaton(random_subgroup_words(seed, d, *size), d)
+                assert automaton.core() == automaton
 
 
 def test_fold_wedge_membership_of_random_products():
@@ -155,9 +165,9 @@ def test_fold_confluence_under_edge_orders():
 
 def test_membership_examples():
     a = build_automaton("aa,b", 2)
-    assert membership(a, "aab")
-    assert not membership(a, "a")
-    assert membership(a, "bAA")
+    assert membership(a, parse_word("aab"))
+    assert not membership(a, parse_word("a"))
+    assert membership(a, parse_word("bAA"))
 
 
 def test_intersect_disjoint_letters():
@@ -175,8 +185,8 @@ def test_intersect_exhaustive_agreement():
     a1 = build_automaton("aa,b", 2)
     a2 = build_automaton("aaa,b", 2)
     inter = intersect_automata(a1, a2)
-    assert membership(inter, "aaaaaa")
-    assert membership(inter, "b")
+    assert membership(inter, parse_word("aaaaaa"))
+    assert membership(inter, parse_word("b"))
     for w in all_reduced_words(2, 8):
         assert membership(inter, w) == (membership(a1, w) and membership(a2, w))
 
@@ -276,6 +286,15 @@ def test_rank_mismatch_rejected():
         build_automaton("c", 2)
 
 
+@pytest.mark.parametrize("d, table", [
+    (2, [[0, 0]]),  # too narrow: the missing slots would be indexed past the row
+    (1, [[0, 0, 0, 0]]),  # too wide: the extra slots would be ignored
+])
+def test_table_rows_must_have_two_d_slots(d, table):
+    with pytest.raises(ValidationError, match=f"has {len(table[0])} slots, not {2 * d}"):
+        StallingsAutomaton(d, table)
+
+
 def test_dot_export():
     dot = automaton_to_dot(build_automaton("aa,b,abA", 2))
     assert dot.count("[shape=") == 2
@@ -321,7 +340,7 @@ def test_slot_major_nonbacktracking_adds_the_slots_in_order():
         tables.append((_automaton_table(build_automaton(random_subgroup_words(seed, d=d), d)), d))
     for oracle in (trivial_subgroup_oracle(2),
                    product_oracle(StallingsOracle(build_automaton("ab,bA", 2)),
-                                  kernel_to_Z_oracle(2, (1, 0))),
+                                  kernel_to_Z_oracle((1, 0))),
                    wreath_percolation_oracle(sample_bernoulli_percolation(0.5, 20, 3))):
         ball = generate_ball(oracle, 3)
         tables.append((np.minimum(ball.nbr, ball.n_vertices), oracle.d))

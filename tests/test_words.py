@@ -106,9 +106,10 @@ def test_wreath_identity_axioms():
 
 def _act(x: WreathElement, config: dict, marker: int):
     out = {}
-    keys = {pos + x.shift for pos in config} | {p for p, _ in x.support}
+    lamps = x.support_map()
+    keys = {pos + x.shift for pos in config} | set(lamps)
     for k in keys:
-        word = x.lamp(k) * config.get(k - x.shift, Word(()))
+        word = lamps.get(k, Word()) * config.get(k - x.shift, Word(()))
         if not word.is_identity():
             out[k] = word
     return out, marker + x.shift
