@@ -7,12 +7,11 @@ inputs), 3 on resource-cap errors (vertex budgets, percolation windows).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 import numpy as np
 
-from .errors import ResourceCapError, ValidationError
+from .errors import ResourceCapError, ValidationError, _read_text
 from .experiments import (
     ExperimentConfig,
     EXPERIMENTS,
@@ -53,7 +52,7 @@ from .stallings import (
 
 
 def _emit(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, indent=2) + "\n"
+    text = report_to_json(payload)
     if out:
         _write_text(out, text)
     else:
@@ -123,12 +122,7 @@ def _cmd_sample(args) -> int:
 
 
 def _load_graphing(path: str):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ValidationError(f"cannot read graphing file {path}: {exc}") from exc
-    return graphing_from_text(text)
+    return graphing_from_text(_read_text(path, "graphing file"))
 
 
 def _cmd_mtp(args) -> int:

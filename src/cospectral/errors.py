@@ -3,7 +3,8 @@
 Validation failures (bad arguments, malformed inputs) and resource-cap
 failures (vertex budgets, percolation windows) are kept distinct so the CLI
 can map them to different exit codes.  ``_number`` parses a number from
-user text and reports malformed text as a validation failure.
+user text and ``_read_text`` reads a UTF-8 file, each reporting malformed
+input as a validation failure.
 """
 
 
@@ -17,6 +18,16 @@ def _number(kind, text, what: str):
         return kind(text)
     except ValueError:
         raise ValidationError(f"malformed {what} {text!r}") from None
+
+
+def _read_text(path: str, what: str) -> str:
+    """The text of a UTF-8 file; a file that cannot be read or decoded is a
+    ValidationError naming it as ``what``."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"cannot read {what} {path}: {exc}") from exc
 
 
 class ResourceCapError(RuntimeError):

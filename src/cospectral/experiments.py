@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ResourceCapError, ValidationError, _number
+from .errors import ResourceCapError, ValidationError, _number, _read_text
 from .irs import (
     kernel_to_Z_oracle,
     longest_segment,
@@ -140,12 +140,7 @@ def load_config(path: str, overrides: dict | None = None) -> ExperimentConfig:
     """Read the flat "key = value" config file, then apply CLI overrides."""
     known = {f.name for f in fields(ExperimentConfig)}
     values: dict = {}
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except OSError as exc:
-        raise ValidationError(f"cannot read config {path}: {exc}") from exc
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in enumerate(_read_text(path, "config").split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -499,7 +494,7 @@ def exp_cogrowth_sweep(config: ExperimentConfig) -> dict:
             (counts[-1] / counts[-3]) ** 0.5 if n >= 3 and counts[-3] > 0 else None
         )
         delta_h2 = cg.delta
-        delta_int = critical_exponent(alpha_root) if alpha_root > 0 else None
+        delta_int = critical_exponent(alpha_root)
         rows.append({
             "seed": seed,
             "generators": ",".join(str(w) for w in words),
@@ -574,16 +569,11 @@ def report_to_csv(report: dict) -> str:
 
 
 def export(report: dict, fmt: str, path: str) -> None:
-    """Write a report as JSON (full) or CSV (per-seed rows); DOT payloads
-    under report["dot"] are written verbatim."""
+    """Write a report as JSON (full) or CSV (per-seed rows)."""
     if fmt == "json":
         text = report_to_json(report)
     elif fmt == "csv":
         text = report_to_csv(report)
-    elif fmt == "dot":
-        text = report.get("dot", "")
-        if not text:
-            raise ValidationError("report carries no DOT payload")
     else:
         raise ValidationError(f"unknown export format {fmt!r}")
     _write_text(path, text)

@@ -17,13 +17,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import ValidationError, _number
-from .schreier import SchreierBall, folner_defect, interior_boundary
-from .spectral import _neighbor_average, _restricted_average, _top_eigenpair
+from .schreier import SchreierBall, _interior, folner_defect, interior_boundary
+from .spectral import _neighbor_average, _restricted_top
 
 __all__ = [
     "PartialMap",
@@ -45,19 +45,13 @@ __all__ = [
 ]
 
 
-class PartialMap:
-    """An injective partial map on point indices, with a label: what graphing
-    text is read into, and the form of the ``Graphing.maps`` view."""
+class PartialMap(NamedTuple):
+    """A labelled partial map on point indices: what graphing text is read
+    into, and the form of the ``Graphing.maps`` view.  ``Graphing`` checks
+    that it is injective."""
 
-    def __init__(self, label: str, mapping: Mapping[int, int]):
-        self.label = str(label)
-        self.mapping = dict(mapping)
-        values = list(self.mapping.values())
-        if len(set(values)) != len(values):
-            raise ValidationError(f"map {label!r} is not injective")
-
-    def __repr__(self) -> str:
-        return f"PartialMap({self.label!r}, {len(self.mapping)} pairs)"
+    label: str
+    mapping: Mapping[int, int]
 
 
 class Graphing:
@@ -71,11 +65,11 @@ class Graphing:
     ``targets[x, k]`` is the image of point x under map ``labels[k]``, or
     -1 where that map is undefined at x, which is not a fixed point.  The
     Markov operator, interiors and orbits read ``table``, derived from it
-    with x itself in place of -1 (the lazy convention).  ``maps`` is a
-    read-only view of the maps as ``PartialMap`` dicts, built when first read.
+    with x itself in place of -1 (the lazy convention).  ``maps`` holds the
+    maps as ``PartialMap`` named tuples, built when first read.
     """
 
-    def __init__(self, weights: Sequence[float], maps: Iterable[Union[PartialMap, tuple]]):
+    def __init__(self, weights: Sequence[float], maps: Iterable[tuple[str, Mapping[int, int]]]):
         self._adopt(*_target_table(weights, maps))
 
     @classmethod
@@ -102,7 +96,7 @@ class Graphing:
 
     @cached_property
     def maps(self) -> tuple[PartialMap, ...]:
-        return tuple(PartialMap(label, _arrows(column))
+        return tuple(PartialMap(label, dict(_arrows(column)))
                      for label, column in zip(self.labels, self.targets.T))
 
     @property
@@ -122,14 +116,14 @@ class Graphing:
 
 
 def _target_table(weights, maps) -> tuple[np.ndarray, list[str], np.ndarray]:
-    """Checked weights, labels and target table of PartialMaps or
-    (label, mapping) pairs."""
+    """Checked weights, labels and target table of (label, mapping) pairs,
+    such as PartialMaps."""
     weights = np.asarray(weights, dtype=float)
     if weights.ndim != 1 or len(weights) == 0:
         raise ValidationError("weights must be a nonempty 1-d array")
     if not (weights > 0).all():
         raise ValidationError("all point weights must be positive")
-    maps = [(m.label, m.mapping) if isinstance(m, PartialMap) else (str(m[0]), dict(m[1])) for m in maps]
+    maps = [(str(label), dict(mapping)) for label, mapping in maps]
     if not maps:
         raise ValidationError("a graphing needs at least one map")
     targets = np.full((len(weights), len(maps)), -1, dtype=np.int64)
@@ -335,9 +329,7 @@ def interior_of(g: Graphing, subset: Iterable[int]) -> np.ndarray:
     outside = points[(points < 0) | (points >= g.n_points)]
     if len(outside):
         raise ValidationError(f"point {outside[0]} outside the graphing")
-    members = np.zeros(g.n_points, dtype=bool)
-    members[points] = True
-    return points[members[g.table[points]].all(axis=1)]
+    return _interior(g.table, points, g.n_points)
 
 
 def embedded_spectral_radius(g: Graphing, subset: Iterable[int]) -> float:
@@ -352,8 +344,7 @@ def embedded_spectral_radius(g: Graphing, subset: Iterable[int]) -> float:
     interior = interior_of(g, subset)
     if len(interior) == 0:
         return 0.0
-    matvec = _restricted_average(g.table, interior, g.n_points)
-    value, _, _, _ = _top_eigenpair(matvec, len(interior))
+    value, _, _, _ = _restricted_top(g.table, interior, g.n_points)
     return min(value, 1.0)
 
 

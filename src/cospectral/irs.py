@@ -33,10 +33,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PercolationSample:
-    """A Bernoulli site percolation on the integer window [-W, W]."""
+    """A Bernoulli site percolation on the integer window [-W, W]; ``p`` and
+    ``seed`` are None for an explicit site set."""
 
     sites: frozenset[int]
-    p: float
+    p: float | None
     window: int
     seed: int | None
 
@@ -61,7 +62,7 @@ def percolation_from_sites(sites: Iterable[int], window: int) -> PercolationSamp
     for x in sites:
         if abs(x) > window:
             raise ValidationError(f"site {x} lies outside the window [-{window}, {window}]")
-    return PercolationSample(sites, float("nan"), int(window), None)
+    return PercolationSample(sites, None, int(window), None)
 
 
 def maximal_segments(sites: Iterable[int]) -> list[tuple[int, int]]:
@@ -287,13 +288,6 @@ class ZKernelOracle(SubgroupOracle):
             return None
         steps = np.array(self.weights + tuple(-w for w in self.weights), dtype=np.int64)
         return CosetCoder(((span,),), (2 * span + 1,), lambda rows: (rows + steps)[:, :, None])
-
-    def membership(self, word: Word) -> bool:
-        total = 0
-        for letter in word.letters:
-            w = self.weights[abs(letter) - 1]
-            total += w if letter > 0 else -w
-        return total == 0
 
 
 def kernel_to_Z_oracle(weights: Sequence[int]) -> ZKernelOracle:

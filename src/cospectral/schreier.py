@@ -735,19 +735,23 @@ class ComponentSet:
         return self.ball.ids_of(self.subset.tolist())
 
 
+def _interior(table: np.ndarray, points: np.ndarray, size: int) -> np.ndarray:
+    """The points, in their order, whose table targets all lie among the
+    points; every target is an index below ``size``."""
+    inside = np.zeros(size, dtype=bool)
+    inside[points] = True
+    return points[inside[table[points]].all(axis=1)]
+
+
 def interior_boundary(ball: SchreierBall, subset: Iterable) -> ComponentSet:
     """Exact interior and outer boundary of a set of ball indices (map ids
     through ``ball.index``); the boundary may hold rim indices."""
     p_idx = ball.indices_of(subset)
     n = ball.n_vertices
-    mask = np.zeros(n + ball.n_outer, dtype=bool)
-    mask[p_idx] = True
     rows = ball.nbr[p_idx]
-    interior = p_idx[mask[rows].all(axis=1)] if len(p_idx) else p_idx
-    targets = np.unique(rows) if len(p_idx) else np.array([], dtype=np.int64)
-    boundary = targets[~mask[targets]] if len(targets) else targets
+    targets = np.setdiff1d(rows, p_idx).astype(np.int64)
     truncated = bool((rows >= n).any())
-    return ComponentSet(ball, p_idx, interior, boundary.astype(np.int64), truncated)
+    return ComponentSet(ball, p_idx, _interior(ball.nbr, p_idx, n + ball.n_outer), targets, truncated)
 
 
 def _prefix_counts(ball: SchreierBall, order: np.ndarray) -> np.ndarray:

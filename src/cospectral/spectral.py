@@ -15,8 +15,9 @@ it reads its neighbor table slot-major: a ``(2d, n)`` copy made once per
 operator, gathered with one ``take`` and summed over the leading axis, the
 slots added in order, at every width.  The graphing Markov operator and
 the embedded spectral radius share it, and the Dirichlet bound and the
-embedded spectral radius share the solver and its start vector.  The
-solver's tolerance and matvec cap are module constants.
+embedded spectral radius share ``_restricted_top``: the solver, its start
+vector and the restriction to a support of rows.  The solver's tolerance
+and matvec cap are module constants.
 
 For f.g. subgroups of free groups the cogrowth base alpha converts to the
 exact co-spectral radius through the classical cogrowth formula.
@@ -31,7 +32,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ValidationError
-from .schreier import SchreierBall
+from .schreier import SchreierBall, _interior
 
 __all__ = [
     "SpectralEstimate",
@@ -165,25 +166,13 @@ def _neighbor_average(table: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     return matvec
 
 
-def _restricted_average(
-    nbr: np.ndarray, rows: np.ndarray, n_points: int
-) -> Callable[[np.ndarray], np.ndarray]:
-    """Averaging matvec on functions supported on ``rows``.
-
-    ``nbr`` is the neighbor table of all ``n_points`` points, ``rows`` the
-    support; neighbors outside it read zero.
-    """
-    local = np.full(n_points, len(rows))
+def _restricted_top(table: np.ndarray, rows: np.ndarray, size: int) -> tuple[float, np.ndarray, int, float]:
+    """``_top_eigenpair`` of the averaging operator on functions supported
+    on ``rows``: ``table`` holds the neighbors of all ``size`` points, and
+    neighbors outside the support read zero."""
+    local = np.full(size, len(rows))
     local[rows] = np.arange(len(rows))
-    return _neighbor_average(local[nbr[rows]])
-
-
-def _interior_rows(ball: SchreierBall, radius: int) -> np.ndarray:
-    """Ball vertices within ``radius`` all of whose neighbors stay within."""
-    dist_full = ball.dist_full
-    cand = np.nonzero(ball.dist <= radius)[0]
-    ok = (dist_full[ball.nbr[cand]] <= radius).all(axis=1)
-    return cand[ok]
+    return _top_eigenpair(_neighbor_average(local[table[rows]]), len(rows))
 
 
 def dirichlet_vector(
@@ -204,10 +193,9 @@ def dirichlet_vector(
         raise ValidationError(f"dirichlet bound needs ball radius >= 1, got {r}")
     if r > ball.radius:
         raise ValidationError(f"requested radius {r} exceeds ball radius {ball.radius}")
-    rows = _interior_rows(ball, r)
-    value, v, iterations, residual = _top_eigenpair(
-        _restricted_average(ball.nbr, rows, ball.n_vertices + ball.n_outer), len(rows)
-    )
+    size = ball.n_vertices + ball.n_outer
+    rows = _interior(ball.nbr, np.flatnonzero(ball.dist <= r), size)
+    value, v, iterations, residual = _restricted_top(ball.nbr, rows, size)
     flags = () if residual <= _TOL else ("not_converged",)
     estimate = SpectralEstimate(min(value, 1.0), r, iterations, residual, flags)
     return estimate, v, rows

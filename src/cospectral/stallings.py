@@ -22,7 +22,7 @@ from typing import Callable, Iterable, Sequence, Union
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, _read_text
 from .words import Word, letter_char, parse_word
 
 __all__ = [
@@ -280,11 +280,7 @@ def parse_generator_list(spec: Union[str, Iterable[Union[str, Word]]]) -> list[W
 
 def read_generator_file(path: str) -> list[Word]:
     """Subgroup text format: one generator word per line, '#' comments."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = [raw.strip() for raw in fh]
-    except OSError as exc:
-        raise ValidationError(f"cannot read generator file {path}: {exc}") from exc
+    lines = [raw.strip() for raw in _read_text(path, "generator file").split("\n")]
     return [parse_word(line) for line in lines if line and not line.startswith("#")]
 
 

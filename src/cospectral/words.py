@@ -155,9 +155,8 @@ class WreathElement:
         object.__setattr__(self, "support", tuple(cleaned))
 
     @classmethod
-    def make(cls, support: Mapping[int, Word] | Iterable[tuple[int, Word]], shift: int = 0) -> "WreathElement":
-        items = support.items() if isinstance(support, Mapping) else support
-        return cls(tuple(items), int(shift))
+    def make(cls, support: Mapping[int, Word], shift: int = 0) -> "WreathElement":
+        return cls(tuple(support.items()), int(shift))
 
     def support_map(self) -> dict[int, Word]:
         return dict(self.support)

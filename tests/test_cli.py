@@ -202,11 +202,16 @@ def test_exit_code_resource_cap(capsys):
                  id="graphing-weight"),
     pytest.param(["graphing", "mtp", "--file", "{cfg}"], "weights 1 1\nm: 0->1 0->0\n",
                  id="graphing-duplicate-source"),
+    pytest.param(["experiment", "main_theorem", "--config", "{cfg}"],
+                 b"experiment = main_theorem\n# \xff\n", id="config-not-utf8"),
+    pytest.param(["cogrowth", "--gens", "@{cfg}"], b"aa\n\xff\n", id="generator-file-not-utf8"),
+    pytest.param(["graphing", "mtp", "--file", "{cfg}"], b"weights 1 1\n\xff\n",
+                 id="graphing-file-not-utf8"),
 ])
 def test_malformed_input_exits_with_validation_code(capsys, tmp_path, argv, config):
     cfg = tmp_path / "exp.cfg"
     if config is not None:
-        cfg.write_text(config)
+        cfg.write_bytes(config if isinstance(config, bytes) else config.encode())
     paths = {"cfg": cfg, "missing": tmp_path / "missing.txt"}
     assert main([arg.format(**paths) for arg in argv]) == 2
     assert "error" in capsys.readouterr().err

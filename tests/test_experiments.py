@@ -304,16 +304,6 @@ def test_export_roundtrip_and_csv_rows(tmp_path):
         export(report, "json", str(tmp_path / "nodir" / "x.json"))
 
 
-def test_export_dot_payload(tmp_path):
-    from cospectral.schreier import ball_to_dot, trivial_subgroup_oracle
-
-    ball = generate_ball(trivial_subgroup_oracle(2), 2)
-    report = {"dot": ball_to_dot(ball)}
-    path = tmp_path / "ball.dot"
-    export(report, "dot", str(path))
-    assert path.read_text().count("[shape=") == 17
-
-
 def test_gap_never_meaningfully_negative():
     # trivial inequality: the intersection estimate cannot exceed the H2
     # estimate beyond numerical residual

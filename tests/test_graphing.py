@@ -512,8 +512,6 @@ def test_graphing_validation_errors():
     with pytest.raises(ValidationError):
         Graphing([1.0, 1.0], [("m", {0: 1})])  # inverse missing
     with pytest.raises(ValidationError):
-        PartialMap("m", {0: 1, 1: 1})  # not injective
-    with pytest.raises(ValidationError):
         Graphing([1.0, 1.0], [("m", {0: 1, 1: 1}), ("m~", {1: 0})])  # not injective
     with pytest.raises(ValidationError):
         Graphing([1.0, 1.0], [("m", {0: 2}), ("m~", {2: 0})])  # leaves the point set

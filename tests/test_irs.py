@@ -1,5 +1,7 @@
 from collections import Counter
 
+import json
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from cospectral.irs import (
     PermutationStabilizerOracle,
     kernel_to_Z_oracle,
     longest_segment,
+    percolation_from_sites,
     permutation_stabilizer_oracle,
     sample_bernoulli_percolation,
     sample_to_json,
@@ -196,3 +199,8 @@ def test_sample_to_json_rejects_what_the_cli_never_samples():
     for other in (kernel_to_Z_oracle((1, 0)), wreath_percolation_oracle(sample)):
         with pytest.raises(ValidationError, match="cannot serialize"):
             sample_to_json(other)
+
+
+def test_sample_to_json_of_explicit_sites_is_valid_json():
+    record = sample_to_json(percolation_from_sites([0, 1], 3))
+    assert json.loads(json.dumps(record, allow_nan=False))["params"] == {"p": None, "window": 3}

@@ -1,7 +1,8 @@
 """The package's public surface: every name a module exports exists, no
 module keeps an import it does not use, so a deleted function left in an
 ``__all__`` or an import fails here, and the package namespace re-exports
-nothing, so importing one module loads only what that module imports."""
+nothing, so importing one module loads only what that module imports.
+Files are opened in one reader and one writer only."""
 
 import ast
 import importlib
@@ -56,3 +57,17 @@ def test_importing_one_module_loads_only_its_imports():
         "cospectral", "cospectral.errors", "cospectral.words",
     ]
     assert "numpy" not in loaded
+
+
+def test_files_are_opened_only_by_the_text_reader_and_writer():
+    calls = []
+    for path in sorted(Path(cospectral.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "open":
+                owner = node
+                while owner in parents and not isinstance(owner, ast.FunctionDef):
+                    owner = parents[owner]
+                calls.append(f"{path.stem}.{getattr(owner, 'name', '<module>')}")
+    assert sorted(calls) == ["errors._read_text", "experiments._write_text"]
