@@ -749,9 +749,12 @@ def interior_boundary(ball: SchreierBall, subset: Iterable) -> ComponentSet:
     p_idx = ball.indices_of(subset)
     n = ball.n_vertices
     rows = ball.nbr[p_idx]
-    targets = np.setdiff1d(rows, p_idx).astype(np.int64)
+    outside = np.ones(n + ball.n_outer, dtype=bool)
+    outside[p_idx] = False
+    targets = np.unique(rows)
     truncated = bool((rows >= n).any())
-    return ComponentSet(ball, p_idx, _interior(ball.nbr, p_idx, n + ball.n_outer), targets, truncated)
+    return ComponentSet(ball, p_idx, _interior(ball.nbr, p_idx, len(outside)),
+                        targets[outside[targets]].astype(np.int64), truncated)
 
 
 def _prefix_counts(ball: SchreierBall, order: np.ndarray) -> np.ndarray:
