@@ -53,6 +53,9 @@ CLI_COMMANDS = {
     "cogrowth": ["cogrowth", "--gens", "aabAA|BA|bbaaab"],
     "spectral-dirichlet": ["spectral", "--oracle", "stallings:gens=aab|bAb", "--radius", "8"],
     "spectral-dirichlet-perm": ["spectral", "--oracle", "perm:n=50", "--seed", "0", "--radius", "12"],
+    # a finite-index subgroup past the radius where its tail codes would pass int64
+    "spectral-dirichlet-finite-index": ["spectral", "--oracle", "stallings:gens=aaa|b|abA|aabAA",
+                                        "--radius", "30"],
     "sample-percolation": ["sample", "--family", "percolation", "--window", "40", "--seed", "2"],
     "sample-permutation": ["sample", "--family", "permutation", "--n", "12", "--seed", "3"],
     "graphing-mtp": ["graphing", "mtp", "--file", "{parts}", "--seed", "3"],

@@ -39,7 +39,7 @@ class BallCapExceeded(ResourceCapError):
 
     ``attained_radius`` is the largest radius whose ball fits under the cap
     together with its outer rim, so rebuilding at it succeeds; it is -1 when
-    even the root's rim does not fit.
+    even the root, or its rim, does not fit.
     """
 
     def __init__(self, message: str, attained_radius: int):

@@ -208,10 +208,6 @@ class OrbitDecomposition:
     class_weights: tuple[float, ...]
     component_of: np.ndarray
 
-    @property
-    def n_classes(self) -> int:
-        return len(self.components)
-
 
 def orbit_decomposition(g: Graphing) -> OrbitDecomposition:
     """Connected components of the union of the map graphs (tests
@@ -441,8 +437,6 @@ def product_test_function(
     validate_test_function(x2, f2)
 
     f_idx = x1_ball.indices_of(folner_set)
-    if len(f_idx) == 0:
-        raise ValidationError("the Folner set must be nonempty")
     eps1 = folner_defect(x1_ball, f_idx)
 
     n1 = x1_ball.n_vertices

@@ -13,7 +13,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ValidationError, WindowExceeded
-from .schreier import CODE_LIMIT, CosetCoder, SubgroupOracle, generate_ball
+from .schreier import CODE_LIMIT, CosetCoder, SubgroupOracle, _table_coder, generate_ball
 from .words import Word, WreathElement, letter_char, wreath_from_word
 
 __all__ = [
@@ -228,31 +228,16 @@ class PermutationStabilizerOracle(SubgroupOracle):
         table = self.perms[i] if letter > 0 else self.inverse_perms[i]
         return int(table[point])
 
-    def coder(self, root: int, radius: int) -> CosetCoder:
-        """Codes are the points, stepped through one (n_points, 2d) table."""
-        return _points_coder([self], [root])
-
     @staticmethod
-    def stacked_coder(members, radius: int) -> CosetCoder:
-        return _points_coder(members, [m.root for m in members])
+    def stacked_coder(members, roots, radius: int) -> CosetCoder:
+        """The points, stepped through one (n_points, 2d) table per member."""
+        tables = [np.stack(m.perms + m.inverse_perms, axis=1) for m in members]
+        return _table_coder(tables, [(int(root), ()) for root in roots], radius)
 
     def orbit_of_root(self) -> list[int]:
         # the orbit has at most n_points points, so radius n_points - 1
         # covers it and leaves no rim
         return sorted(generate_ball(self, self.n_points - 1, vertex_cap=self.n_points).ids)
-
-
-def _points_coder(oracles, roots) -> CosetCoder:
-    """Codes for the oracles' disjoint union: the points, each oracle's
-    offset past the ones before it, with one root row per (oracle, root)."""
-    offsets = np.cumsum([0] + [o.n_points for o in oracles]).tolist()
-    table = np.concatenate([
-        np.stack(o.perms + o.inverse_perms, axis=1) + offset for o, offset in zip(oracles, offsets)
-    ])
-    return CosetCoder(
-        tuple((offset + int(root),) for offset, root in zip(offsets, roots)),
-        (offsets[-1],), lambda rows: table[rows[:, 0], :, None],
-    )
 
 
 def permutation_stabilizer_oracle(n_points: int, d: int, seed: int) -> PermutationStabilizerOracle:

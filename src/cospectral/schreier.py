@@ -13,10 +13,11 @@ along the BFS tree when first read.  Every family in the package can
 number its cosets (Stallings, exponent-sum kernels, permutation
 stabilizers, wreath percolation, and products and reroots of these) and
 gives its own ``CosetCoder``, whose code rows may span several int64
-columns, so products never overflow.  Only user oracles without a coder
-and over-wide windows (wreath shifts that would leave [-W, W], or one
-Stallings or exponent-sum column past int64) are numbered by interning the
-ids ``act`` returns.
+columns, so products (``_product_coder``) never overflow; Stallings and
+permutation oracles share ``_table_coder``.  Only user oracles without a
+coder and over-wide windows (wreath shifts that would leave [-W, W], or one
+Stallings tail or exponent-sum column past int64) are numbered by
+interning the ids ``act`` returns.
 
 ``generate_balls`` gives many oracles their windows at once: permutation
 stabilizers, Stallings oracles, and their products with one shared first
@@ -83,8 +84,9 @@ class CosetCoder(NamedTuple):
     ``hanging(rows)``, where a family has it, is the (m,) boolean mask of
     the codes lying in a hanging tree: off the subgroup's core, where no
     closed non-backtracking path goes (Stallings 1983), so a BFS for path
-    counts may skip them.  Stallings codes hang when their tail is nonempty
-    and a product's when either factor's does; the other families have none.
+    counts may skip them.  Table codes hang when their tail is nonempty and
+    a product's when either factor's does; the other families have none.
+    A family writes one hook that gives its coder (see ``SubgroupOracle``).
     """
 
     roots: tuple[tuple[int, ...], ...]
@@ -100,10 +102,11 @@ class SubgroupOracle:
     ("free", d) or ("wreath",)), ``d`` (positive generator count) and
     ``root`` (the coset of the subgroup itself), and implement ``act``.
     Coset ids are opaque hashables; ``act`` must respect inverses.  A
-    subclass that can number its cosets by rows of integers may implement
-    ``coder``, which lets ``generate_ball`` step whole BFS layers by numpy;
-    every family in the package does, wreath percolation included.  Without
-    one (user oracles) or when it returns None (over-wide windows),
+    subclass that numbers its cosets by rows of integers writes one hook:
+    ``stacked_coder`` if its oracles stack (the base ``coder`` calls it with
+    one member), else ``coder``.  Then ``generate_ball`` steps whole BFS
+    layers by numpy, as for every family in the package.  Without one (user
+    oracles) or when it returns None (over-wide windows),
     ``generate_ball`` numbers the cosets as ``act`` first returns them, one
     Python call per (vertex, slot).  Codes never come back as ids: a ball
     rebuilds the ids it is asked for by replaying ``act`` from the root.
@@ -133,13 +136,13 @@ class SubgroupOracle:
     def coder(self, root, radius: int) -> CosetCoder | None:
         """Codes for the cosets within distance radius + 1 of ``root``, or
         None when the family has none or a column would not fit int64."""
-        return None
+        return self.stacked_coder([self], [root], radius)
 
     @staticmethod
-    def stacked_coder(members, radius: int) -> CosetCoder | None:
+    def stacked_coder(members, roots, radius: int) -> CosetCoder | None:
         """One coder for the disjoint union of ``members``, oracles of this
-        class and rank, numbering each member's cosets apart from the
-        others', with one root row per member's root; None when the family
+        class and rank, numbering each member's cosets apart, with one root
+        row per member from its coset in ``roots``; None when the family
         does not stack or a column would not fit int64."""
         return None
 
@@ -151,8 +154,8 @@ class StallingsOracle(SubgroupOracle):
     far as the automaton allows, the rest of the word hangs off as a path
     into the complement trees.  Ids are packed as bytes (4-byte state plus
     one byte per tail slot) for compact hashing.  Codes are
-    ``T * n_states + state`` with the tail T read in bijective base 2d, so
-    appending slot s gives T * 2d + s + 1 and popping gives (T - 1) // 2d.
+    ``_table_coder``'s over the automaton's table: the states of a
+    finite-index subgroup, else state and tail.
     """
 
     def __init__(self, automaton: StallingsAutomaton):
@@ -183,32 +186,37 @@ class StallingsOracle(SubgroupOracle):
         tail = "".join(letter_char(letter_of_slot(b, self.d)) for b in coset[4:])
         return f"q{state}" + (f".{tail}" if tail else "")
 
-    def coder(self, root: bytes, radius: int) -> CosetCoder | None:
-        return _stallings_coder([self.automaton], [root], radius)
-
     @staticmethod
-    def stacked_coder(members, radius: int) -> CosetCoder | None:
-        return _stallings_coder([m.automaton for m in members], [m.root for m in members], radius)
+    def stacked_coder(members, roots, radius: int) -> CosetCoder | None:
+        """The automata's tables, each root its (state, tail slots)."""
+        tables = [np.array([[-1 if t is None else t for t in row] for row in m.automaton.table])
+                  for m in members]
+        return _table_coder(tables, [(int.from_bytes(r[:4], "little"), r[4:]) for r in roots], radius)
 
 
-def _stallings_coder(automata, roots, radius: int) -> CosetCoder | None:
-    """Codes for the automata's disjoint union, states numbered with
-    offsets in the given order, with one root row per (automaton, root)."""
-    d = automata[0].d
-    width = 2 * d
-    offsets = list(accumulate((a.n_states for a in automata), initial=0))
+def _table_coder(tables, roots, radius: int) -> CosetCoder | None:
+    """Codes for the disjoint union of finite Schreier graphs, given as (n, 2d)
+    int64 target tables with -1 for a missing slot and numbered with offsets
+    in order, with one root row per (table, root (state, tail slots)).
+
+    A complete table with untailed roots steps by one gather: its codes are
+    its states.  Else a coset is a state and a reduced tail, coded
+    ``T * n + state`` with T in bijective base 2d (appending slot s gives
+    T * 2d + s + 1, popping (T - 1) // 2d), and tailed codes hang; None if
+    those would not fit int64."""
+    width = tables[0].shape[1]
+    offsets = list(accumulate((len(t) for t in tables), initial=0))
     n = offsets[-1]
-    longest = max(len(root) for root in roots) - 4 + radius + 1
+    table = np.concatenate([np.where(t >= 0, t + offset, -1) for t, offset in zip(tables, offsets)])
+    if table.min() >= 0 and not any(tail for _, tail in roots):
+        return CosetCoder(tuple((offset + state,) for (state, _), offset in zip(roots, offsets)),
+                          (n,), lambda rows: table[rows[:, 0], :, None])
+    longest = max(len(tail) for _, tail in roots) + radius + 1
     size = (width * (width**longest - 1) // (width - 1) + 1) * n
     if size > CODE_LIMIT:
         return None
-    table = np.array(
-        [[-1 if t is None else t + offset for t in row]
-         for a, offset in zip(automata, offsets) for row in a.table],
-        dtype=np.int64,
-    )
     grow = (np.arange(width) + 1) * n
-    inverse = (np.arange(width) + d) % width
+    inverse = (np.arange(width) + width // 2) % width
 
     def step(rows: np.ndarray) -> np.ndarray:
         codes = rows[:, 0]
@@ -223,11 +231,11 @@ def _stallings_coder(automata, roots, radius: int) -> CosetCoder | None:
         return out[:, :, None]
 
     codes = []
-    for root, offset in zip(roots, offsets):
-        tail = 0
-        for slot in root[4:]:
-            tail = tail * width + slot + 1
-        codes.append((tail * n + offset + int.from_bytes(root[:4], "little"),))
+    for (state, tail), offset in zip(roots, offsets):
+        code = 0
+        for slot in tail:
+            code = code * width + slot + 1
+        codes.append((code * n + offset + state,))
     return CosetCoder(tuple(codes), (size,), step, lambda rows: rows[:, 0] >= n)
 
 
@@ -264,24 +272,27 @@ class ProductOracle(SubgroupOracle):
         return f"({self.o1.describe(coset[0])}, {self.o2.describe(coset[1])})"
 
     def coder(self, root, radius: int) -> CosetCoder | None:
-        """The two factors' code rows side by side."""
-        c1 = self.o1.coder(root[0], radius)
-        c2 = self.o2.coder(root[1], radius)
-        if c1 is None or c2 is None:
-            return None
-        k1 = len(c1.sizes)
-        h1, h2 = c1.hanging, c2.hanging
+        return _product_coder(self.o1.coder(root[0], radius), self.o2.coder(root[1], radius))
 
-        def step(rows: np.ndarray) -> np.ndarray:
-            return np.concatenate([c1.step(rows[:, :k1]), c2.step(rows[:, k1:])], axis=2)
 
-        def hanging(rows: np.ndarray) -> np.ndarray:
-            return (h1 is not None and h1(rows[:, :k1])) | (h2 is not None and h2(rows[:, k1:]))
+def _product_coder(c1: CosetCoder | None, c2: CosetCoder | None) -> CosetCoder | None:
+    """The two factors' code rows side by side, every root of ``c1`` paired
+    with every root of ``c2``; None if either factor has no coder."""
+    if c1 is None or c2 is None:
+        return None
+    k1 = len(c1.sizes)
+    h1, h2 = c1.hanging, c2.hanging
 
-        return CosetCoder(
-            tuple(r1 + r2 for r1 in c1.roots for r2 in c2.roots), c1.sizes + c2.sizes, step,
-            None if h1 is None and h2 is None else hanging,
-        )
+    def step(rows: np.ndarray) -> np.ndarray:
+        return np.concatenate([c1.step(rows[:, :k1]), c2.step(rows[:, k1:])], axis=2)
+
+    def hanging(rows: np.ndarray) -> np.ndarray:
+        return (h1 is not None and h1(rows[:, :k1])) | (h2 is not None and h2(rows[:, k1:]))
+
+    return CosetCoder(
+        tuple(r1 + r2 for r1 in c1.roots for r2 in c2.roots), c1.sizes + c2.sizes, step,
+        None if h1 is None and h2 is None else hanging,
+    )
 
 
 def product_oracle(o1: SubgroupOracle, o2: SubgroupOracle) -> ProductOracle:
@@ -327,13 +338,13 @@ class SchreierBall:
     that parent's first slot into it, i.e. its first occurrence in
     ``nbr.ravel()``.  ``_tree`` finds all of them with one
     ``np.minimum.at`` on first use (about 25 ms on F_2's B(12), under 5% of
-    its 0.6 s BFS).  ``ids``, ``outer_ids`` and ``index`` (every
-    stored id, rim included, to its index) replay ``act`` from the root
-    along the tree on first access, one call per stored vertex; until
-    then ``ids_of`` replays only the union of the tree paths of the
-    vertices asked for (one vertex: one path, ``dist`` calls), since the
-    spectral and path-count code reads only the tables and a Folner set is
-    a small share of the ball.
+    its 0.6 s BFS).  ``ids`` and ``index`` (every stored id, rim
+    included, to its index) replay ``act`` from the root along the tree on
+    first access, one call per stored vertex; until then ``ids_of``
+    replays only the union of the tree paths of the stored vertices asked
+    for (one vertex: one path, ``dist`` calls), since the spectral and
+    path-count code reads only the tables and a Folner set is a small
+    share of the ball.
 
     A window grown from several roots (a stacked union's, see
     ``generate_balls``) holds the roots at indices 0..m-1 and also has
@@ -373,10 +384,6 @@ class SchreierBall:
         return self._all_ids[: self.n_vertices]
 
     @cached_property
-    def outer_ids(self) -> list:
-        return self._all_ids[self.n_vertices :]
-
-    @cached_property
     def index(self) -> dict:
         return {c: i for i, c in enumerate(self._all_ids)}
 
@@ -399,13 +406,16 @@ class SchreierBall:
         return path
 
     def ids_of(self, indices: Iterable[int]) -> list:
-        """The coset ids of stored vertices, ball or rim, in the given order.
+        """The coset ids of stored vertices, given as stored indices: Python
+        or numpy integers in [0, n + n_outer), ball or rim, in that order.
 
         Until every id is replayed, this replays the union of the vertices'
         tree paths once: each path is walked up to a vertex already known,
         and ``act`` runs only below it, so a set costs at most one call per
         distinct vertex on its paths, never more than the stored count.
         """
+        stored = len(self.dist_full)
+        indices = [_index(i, stored, "stored") for i in indices]
         if "_all_ids" in vars(self):
             return [self._all_ids[i] for i in indices]
         tree, width = self._tree, self.nbr.shape[1]
@@ -428,12 +438,7 @@ class SchreierBall:
         """Sorted ball indices of a vertex set given as ball indices: Python
         or numpy integers in [0, n).  Map coset ids through ``index``."""
         n = self.n_vertices
-        out = set()
-        for v in vertices:
-            if not isinstance(v, (int, np.integer)) or not 0 <= v < n:
-                raise ValidationError(f"{v!r} is not a ball index in [0, {n})")
-            out.add(int(v))
-        return np.array(sorted(out), dtype=np.int64)
+        return np.array(sorted({_index(v, n, "ball") for v in vertices}), dtype=np.int64)
 
     def word_to(self, index: int) -> Word:
         """A shortest word moving the root to the given ball vertex: the BFS
@@ -449,6 +454,13 @@ class SchreierBall:
         }
 
 
+def _index(v, size: int, what: str) -> int:
+    """``v`` as an int, if it is a Python or numpy integer in [0, size)."""
+    if not isinstance(v, (int, np.integer)) or not 0 <= v < size:
+        raise ValidationError(f"{v!r} is not a {what} index in [0, {size})")
+    return int(v)
+
+
 def generate_ball(
     oracle: SubgroupOracle,
     radius: int,
@@ -460,8 +472,9 @@ def generate_ball(
 
     Rim vertices are stored after the ball in the same BFS order and never
     expanded.  Raises BallCapExceeded if the ball plus its rim would exceed
-    ``vertex_cap`` vertices; its ``attained_radius`` is the largest radius
-    whose ball and rim fit.
+    ``vertex_cap`` vertices, the root rows included; its
+    ``attained_radius`` is the largest radius whose ball and rim fit, -1
+    when the roots alone do not.
 
     With ``prune_hanging``, and a coder that has a ``hanging`` mask, the
     BFS never numbers a hanging target: its slot reads ``n_vertices +
@@ -498,6 +511,8 @@ def generate_ball(
     hanging = coder.hanging if prune_hanging else None
     if hanging is not None and hanging(layer).any():
         raise ValidationError("the root coset hangs off the core: no closed path to prune for")
+    if len(layer) > vertex_cap:
+        raise BallCapExceeded(f"vertex cap {vertex_cap} exceeded at distance 0 (attained radius -1)", -1)
     width = 2 * oracle.d
     pack = _packer(coder.sizes)
     # one-column codes (trees, Stallings windows) come in long sorted runs,
@@ -571,18 +586,18 @@ def generate_balls(
 
     They stack when they are permutation stabilizers or Stallings oracles
     of one class and rank, or products of one shared first factor with such
-    oracles: ``_union`` numbers their cosets apart, one ``generate_ball``
-    grows every member's window at once under ``vertex_cap``, and
-    ``_split`` cuts each member's window out, bit for bit its own.  If that
-    BFS overflows, or the oracles do not stack, each oracle gets its own
+    oracles: ``_stacked_coder`` numbers their cosets apart, one
+    ``generate_ball`` grows every member's window at once under
+    ``vertex_cap``, and ``_split`` cuts each member's window out, bit for
+    bit its own.  If that BFS overflows (more roots than the cap overflow
+    at distance 0), or the oracles do not stack, each oracle gets its own
     window, so an oracle fails exactly when its own window overflows, with
     its own message.
     """
-    # more roots than the cap cannot share one BFS
-    union = _union(oracles, radius) if 1 < len(oracles) <= vertex_cap else None
-    if union is not None:
+    coder = _stacked_coder(oracles, radius) if len(oracles) > 1 else None
+    if coder is not None:
         try:
-            ball = generate_ball(union, radius, vertex_cap, prune_hanging=prune_hanging)
+            ball = generate_ball(_Union(oracles, coder), radius, vertex_cap, prune_hanging=prune_hanging)
         except BallCapExceeded:
             pass
         else:
@@ -599,7 +614,7 @@ def _ball_or_error(oracle, radius, vertex_cap, prune_hanging):
 
 class _Union(SubgroupOracle):
     """The disjoint union of stacking members, for the shared BFS only: its
-    coder is the members' ``stacked_coder``, and it has no ``act``."""
+    coder is ``_stacked_coder``'s, and it has no ``act``."""
 
     def __init__(self, members, coder: CosetCoder):
         self.family, self.d = members[0].family, members[0].d
@@ -610,21 +625,17 @@ class _Union(SubgroupOracle):
         return self._coder
 
 
-def _union(oracles, radius: int) -> SubgroupOracle | None:
-    """One oracle whose coder stacks the oracles' windows, with one root
-    row per oracle in order, or None when they do not stack."""
+def _stacked_coder(oracles, radius: int) -> CosetCoder | None:
+    """One coder for the oracles' disjoint union, with one root row per
+    oracle in order, or None when they do not stack."""
     first = oracles[0]
     if all(type(o) is ProductOracle and o.o1 is first.o1 for o in oracles):
-        inner = _union([o.o2 for o in oracles], radius)
-        # the product has a coder only if its first factor has one too
-        if inner is None or first.o1.coder(first.o1.root, radius) is None:
-            return None
-        return ProductOracle(first.o1, inner)
+        return _product_coder(first.o1.coder(first.o1.root, radius),
+                              _stacked_coder([o.o2 for o in oracles], radius))
     kind = type(first)
     if any(type(o) is not kind or o.family != first.family for o in oracles):
         return None
-    coder = kind.stacked_coder(oracles, radius)
-    return None if coder is None else _Union(oracles, coder)
+    return kind.stacked_coder(oracles, [o.root for o in oracles], radius)
 
 
 def _split(ball: SchreierBall, oracles) -> list[SchreierBall]:
@@ -852,8 +863,6 @@ def enumerate_double_cosets(
     over-cap) ones are flagged truncated, in which case a later entry could
     duplicate the same component.
     """
-    if radius < 0:
-        raise ValidationError(f"radius must be >= 0, got {radius}")
     prod = ProductOracle(o1, o2)
     ball1 = generate_ball(o1, radius, vertex_cap=vertex_cap)
     letters = prod.letters
@@ -956,12 +965,12 @@ def _return_counts(ball: SchreierBall, n: int) -> list[int]:
     return [int(x[:, 0].sum()) for x in vectors]
 
 
-def ball_to_dot(ball: SchreierBall, name: str = "ball") -> str:
+def ball_to_dot(ball: SchreierBall) -> str:
     """DOT rendering of the ball's inner edges, labelled by the family's
     positive letters (s, a, b for the wreath product); the root is doubly
     circled."""
     n = ball.n_vertices
-    lines = [f"digraph {name} {{"]
+    lines = ["digraph ball {"]
     for i in range(n):
         shape = "doublecircle" if i == 0 else "circle"
         label = ball.oracle.describe(ball.ids[i])

@@ -144,9 +144,6 @@ class StallingsAutomaton:
     def n_states(self) -> int:
         return len(self.table)
 
-    def step(self, state: int, letter: int) -> int | None:
-        return self.table[state][slot_of_letter(letter, self.d)]
-
     def trace(self, word: Word) -> int | None:
         """Follow a word from the base; None once a transition is missing.
 
@@ -445,9 +442,9 @@ def cogrowth_rate(automaton: StallingsAutomaton) -> CogrowthResult:
     return CogrowthResult(alpha, delta, iterations, residual, residual <= _TOL)
 
 
-def automaton_to_dot(automaton: StallingsAutomaton, name: str = "stallings") -> str:
+def automaton_to_dot(automaton: StallingsAutomaton) -> str:
     """DOT rendering: base state doubly circled, positive labels on edges."""
-    lines = [f"digraph {name} {{"]
+    lines = ["digraph stallings {"]
     for u in range(automaton.n_states):
         shape = "doublecircle" if u == automaton.base else "circle"
         lines.append(f'  q{u} [shape={shape}];')

@@ -176,6 +176,13 @@ def test_exit_code_resource_cap(capsys):
     assert "resource cap" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("oracle", ["whole", "trivial"])
+def test_root_layer_counts_against_the_cap(capsys, oracle):
+    code = main(["ball", "--oracle", oracle, "--radius", "3", "--cap", "0"])
+    assert code == 3
+    assert "attained radius -1" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv, config", [
     pytest.param(["ball", "--oracle", "perm:n=abc", "--radius", "1", "--seed", "0"], None, id="perm-n"),
     pytest.param(["ball", "--oracle", "trivial:d=x", "--radius", "1"], None, id="trivial-d"),

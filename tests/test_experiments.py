@@ -201,7 +201,7 @@ def test_wreath_counterexample_equal_sets_hit_at_length_one():
 
 
 def test_wreath_counterexample_window_validation():
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="lies outside the window"):
         exp_wreath_counterexample(ExperimentConfig(
             experiment="wreath_counterexample", set_a="0..50", set_b="60..70",
             window=40,

@@ -52,7 +52,7 @@ def test_orbit_decomposition_two_cycles():
 def test_orbit_decomposition_identity_map():
     g = Graphing.from_pairs([1.0] * 5, [("e", {i: i for i in range(5)})])
     dec = orbit_decomposition(g)
-    assert dec.n_classes == 5
+    assert len(dec.components) == 5
     assert all(len(c) == 1 for c in dec.components)
 
 
@@ -76,7 +76,7 @@ def test_orbit_decomposition_of_long_paths_against_union_find():
         shift.update(zip(path[:-1].tolist(), path[1:].tolist()))
     g = Graphing.from_pairs([1.0] * len(ids), [("m", shift)])
     dec = orbit_decomposition(g)
-    assert dec.n_classes == 60
+    assert len(dec.components) == 60
     assert list(dec.components) == union_find_components(g)
     assert dec.component_of.tolist() == [
         next(k for k, c in enumerate(dec.components) if x in c) for x in range(g.n_points)
@@ -383,6 +383,12 @@ def test_product_test_function_cycle_and_swap():
     # independent quadratic-form recomputation of the energy
     assert report.lhs == pytest.approx(naive_energy(report.product, f.values), abs=1e-9)
     assert sum(report.component_shares) == pytest.approx(1.0)
+
+
+def test_product_test_function_rejects_an_empty_folner_set():
+    f2 = TestFunction(np.array([1.0, 0.0]), (0, 1))
+    with pytest.raises(ValidationError, match="empty set"):
+        product_test_function(_cycle_ball(10), [], _two_point_swap(), f2)
 
 
 def test_product_test_function_whole_component_equality():

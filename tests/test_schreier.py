@@ -8,6 +8,7 @@ from helpers import (
     reference_ball,
     reference_prefix_counts,
     reference_sweep,
+    stabilizer_generators,
 )
 from cospectral.errors import BallCapExceeded, ValidationError, WindowExceeded
 from cospectral.irs import (
@@ -355,6 +356,11 @@ def _id_types(coset):
     return type(coset)
 
 
+def _rim_ids(ball):
+    """The coset ids of the ball's rim, in index order."""
+    return ball.ids_of(range(ball.n_vertices, ball.n_vertices + ball.n_outer))
+
+
 def _reference_cases():
     """(oracle, radii, coded): oracles with and without int64 coset codes,
     coded ones in every family and in products and reroots of them."""
@@ -387,6 +393,8 @@ def _reference_cases():
          range(4), True),
         (edge, [2], True),  # shifts reach the window's edge W = R + 1
         (StallingsOracle(build_automaton("aa,b,abA", 2)), radii, True),
+        # finite index: its codes are its states at any radius
+        (StallingsOracle(build_automaton("aaa,b,abA,aabAA", 2)), [30], True),
         (stallings, radii, True),
         (tail_root, radii, True),
         (product_oracle(zkernel, PermutationStabilizerOracle(5, 2, 1)), radii, True),
@@ -411,8 +419,8 @@ def test_ball_matches_reference_bfs():
             ball = generate_ball(oracle, radius)
             ref = reference_ball(oracle, radius)
             assert ball.ids == ref.ids
-            assert ball.outer_ids == ref.outer_ids
-            assert [_id_types(c) for c in ball.ids + ball.outer_ids] == [
+            assert _rim_ids(ball) == ref.outer_ids
+            assert [_id_types(c) for c in ball.ids + _rim_ids(ball)] == [
                 _id_types(c) for c in ref.ids + ref.outer_ids
             ]
             assert np.array_equal(ball.dist, ref.dist)
@@ -426,9 +434,9 @@ def test_coded_ball_decodes_ids_on_first_access():
     ball = generate_ball(StallingsOracle(build_automaton("ab,ba", 2)), 6)
     dirichlet_vector(ball)
     count_reduced_returns(ball.oracle, 4)
-    assert not {"ids", "outer_ids", "index"} & set(vars(ball))
+    assert not {"ids", "index"} & set(vars(ball))
     assert ball.index[ball.ids[5]] == 5
-    assert ball.ids_of([ball.n_vertices])[0] == ball.outer_ids[0]
+    assert ball.index[ball.ids_of([ball.n_vertices])[0]] == ball.n_vertices
 
 
 def test_folner_subset_decodes_only_its_rows():
@@ -469,7 +477,7 @@ def test_ball_replays_ids_along_its_bfs_tree():
     one_by_one = [ball.ids_of([i])[0] for i in range(stored)]
     assert oracle.calls == int(ball.dist_full.sum())
     oracle.calls = 0
-    assert one_by_one == ball.ids + ball.outer_ids
+    assert one_by_one == ball.ids + _rim_ids(ball)
     assert oracle.calls == stored - 1
     assert ids == [ball.ids[i] for i in component.subset]
 
@@ -487,14 +495,14 @@ def test_component_ids_replay_each_tree_vertex_at_most_once():
         got.append((read(), indices))
         assert oracle.calls <= stored  # one path per vertex took 98,416 calls
     assert "_all_ids" not in vars(ball)
-    every = ball.ids + ball.outer_ids
+    every = ball.ids + _rim_ids(ball)
     for ids, indices in got:
         assert ids == [every[i] for i in indices]
 
 
 def test_indices_of_rejects_rim_ids():
     ball = generate_ball(trivial_subgroup_oracle(2), 1)
-    rim_id = ball.outer_ids[0]
+    rim_id = ball.ids_of([ball.n_vertices])[0]
     assert ball.index[rim_id] == ball.n_vertices
     with pytest.raises(ValidationError):
         ball.indices_of([rim_id])
@@ -515,6 +523,18 @@ def test_indices_of_takes_ball_indices_only():
     for bad in (-1, n):
         with pytest.raises(ValidationError):
             ball.word_to(bad)
+
+
+def test_ids_of_takes_stored_indices_only():
+    ball = generate_ball(kernel_to_Z_oracle((1,)), 3)
+    stored = ball.n_vertices + ball.n_outer
+    assert ball.ids_of([np.int64(stored - 1), np.int32(0), 2]) == [-4, 0, -1]
+    for replayed in (False, True):
+        if replayed:
+            assert ball.ids[2] == -1
+        for bad in (-1, stored, np.int64(stored), 1.0, "0", None):
+            with pytest.raises(ValidationError):
+                ball.ids_of([bad])
 
 
 def test_negative_radius_rejected():
@@ -705,7 +725,7 @@ def test_pruned_window_is_the_core_part_of_the_ball():
         pruned = generate_ball(oracle, 5, prune_hanging=True)
         ball = generate_ball(oracle, 5)
         assert pruned.ids == [c for c in ball.ids if _no_tail(c)]
-        assert pruned.outer_ids == [c for c in ball.outer_ids if _no_tail(c)]
+        assert _rim_ids(pruned) == [c for c in _rim_ids(ball) if _no_tail(c)]
         assert list(pruned.dist) == [d for c, d in zip(ball.ids, ball.dist) if _no_tail(c)]
         stored[0] += pruned.n_vertices + pruned.n_outer
         stored[1] += ball.n_vertices + ball.n_outer
@@ -730,18 +750,24 @@ def test_pruning_a_hanging_root_raises():
 
 
 def _stacking_families():
-    """Stacking members: permutation samples and criterion 3's Stallings
-    subgroups, each alone and times two exponent-sum kernels and one
-    permutation stabiliser shared by every member."""
+    """Stacking members: permutation samples, criterion 3's Stallings
+    subgroups and finite-index Stallings subgroups (point stabilisers),
+    each alone and times two exponent-sum kernels and one permutation
+    stabiliser shared by every member."""
     from cospectral.experiments import random_subgroup_words
 
     perms = [PermutationStabilizerOracle(12, 2, seed) for seed in range(6)]
     stallings = [
         StallingsOracle(build_automaton(random_subgroup_words(3000 + seed), 2)) for seed in range(8)
     ]
+    finite_index = [
+        StallingsOracle(build_automaton(stabilizer_generators(PermutationStabilizerOracle(n, 2, n)), 2))
+        for n in (3, 5, 8, 9)
+    ]
+    assert all(o.automaton.is_complete() for o in finite_index)
     factors = [kernel_to_Z_oracle((1, 0)), kernel_to_Z_oracle((1, 1)),
                PermutationStabilizerOracle(7, 2, 11)]
-    for members in (perms, stallings):
+    for members in (perms, stallings, finite_index):
         yield members
         for factor in factors:
             yield [product_oracle(factor, h) for h in members]
@@ -751,7 +777,7 @@ def _same_window(window, ball) -> bool:
     return (window.oracle is ball.oracle and window.nbr.dtype == ball.nbr.dtype
             and np.array_equal(window.nbr, ball.nbr)
             and np.array_equal(window.dist_full, ball.dist_full)
-            and window.ids == ball.ids and window.outer_ids == ball.outer_ids)
+            and window.ids == ball.ids and _rim_ids(window) == _rim_ids(ball))
 
 
 def test_stacked_windows_are_the_members_own(monkeypatch):
@@ -827,7 +853,9 @@ def test_generate_balls_caps_each_member_as_its_own_ball(monkeypatch):
 
     shared = []
     total = sum(sizes)  # the union holds every member's window
-    for cap in (sizes[0] - 1, sizes[0], sizes[2], sizes[-1] - 1, sizes[-1], 2 * sizes[-1], total - 1, total):
+    caps = (len(members) - 1, sizes[0] - 1, sizes[0], sizes[2], sizes[-1] - 1, sizes[-1],
+            2 * sizes[-1], total - 1, total)
+    for cap in caps:
         held.clear()
         with monkeypatch.context() as m:
             m.setattr(schreier, "generate_ball", recording)

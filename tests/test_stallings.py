@@ -29,6 +29,7 @@ from cospectral.stallings import (
     fold,
     intersect_automata,
     membership,
+    slot_of_letter,
     subgroup_index,
 )
 from cospectral.words import Word, parse_word
@@ -37,18 +38,18 @@ from cospectral.words import Word, parse_word
 def test_build_single_loop():
     a = build_automaton("a", 2)
     assert a.n_states == 1
-    assert a.step(0, 1) == 0
-    assert a.step(0, 2) is None
+    assert a.table[0][slot_of_letter(1, 2)] == 0
+    assert a.table[0][slot_of_letter(2, 2)] is None
 
 
 def _reference_trace(automaton, word):
-    """Trace letter by letter through ``step``, checking each letter's rank
+    """Trace letter by letter through the table, checking each letter's rank
     when it is reached."""
     state = automaton.base
     for letter in word.letters:
         if abs(letter) > automaton.d:
             raise ValidationError(f"letter {letter} exceeds rank {automaton.d}")
-        state = automaton.step(state, letter)
+        state = automaton.table[state][slot_of_letter(letter, automaton.d)]
         if state is None:
             return None
     return state
@@ -111,7 +112,7 @@ def test_fold_merges_double_edge():
     graph = EdgeListGraph(d=2, n_states=3, base=0, edges=[(0, 0, 1), (0, 0, 2)])
     folded = fold(graph)
     assert folded.n_states == 2
-    assert folded.step(0, 1) == 1
+    assert folded.table[0][slot_of_letter(1, 2)] == 1
 
 
 def test_fold_of_folded_is_identity():
